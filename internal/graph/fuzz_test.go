@@ -100,6 +100,8 @@ func FuzzPathFinder(f *testing.F) {
 	// tombstoned edge slots and a compacted CSR.
 	f.Add([]byte{5, 0, 1, 10, 10, 1, 2, 10, 10, 2, 3, 10, 10, 0, 3, 1, 1, 2, 2, 0, 1, 1, 2, 9, 9}, uint8(0), uint8(3), uint8(5))
 	f.Add([]byte{9, 0, 1, 20, 20, 1, 2, 20, 20, 2, 0, 20, 20, 3, 3, 0, 0, 0, 2, 5, 5, 4, 4, 0, 2, 2, 3, 8, 8}, uint8(0), uint8(3), uint8(4))
+	// Multi-target with an unreachable third target (node 4 is isolated).
+	f.Add([]byte{2, 0, 1, 10, 10, 1, 2, 10, 10, 2, 3, 10, 10, 0, 3, 1, 1}, uint8(0), uint8(2), uint8(4))
 	f.Fuzz(func(t *testing.T, data []byte, srcRaw, dstRaw, minCapRaw uint8) {
 		g := buildFuzzGraph(data)
 		if g == nil {
@@ -131,6 +133,14 @@ func FuzzPathFinder(f *testing.F) {
 		lp, lok := hl.UnitShortestPath(src, dst)
 		if lok != ok || (ok && !pathsEqual(lp, p)) {
 			t.Fatalf("hub label %v/%v != finder %v/%v", lp, lok, p, ok)
+		}
+
+		// Multi-target search (duplicate targets, src among them, a third
+		// fuzzed target that may be unreachable) vs its pop-to-target
+		// reference, path for path.
+		dsts := []NodeID{dst, src, NodeID(int(minCapRaw) % g.NumNodes()), dst}
+		if got, want := pf.UnitShortestPaths(src, dsts), refUnitShortestPaths(NewPathFinder(g), src, dsts); !pathListsEqual(got, want) {
+			t.Fatalf("UnitShortestPaths %d->%v:\nref %v\ngot %v", src, dsts, want, got)
 		}
 
 		// Weighted shortest path: finder vs baseline, cost-equivalent.
@@ -182,6 +192,10 @@ func FuzzKShortestPaths(f *testing.F) {
 	f.Add([]byte{10, 0, 9, 1, 1}, uint8(0), uint8(9), uint8(7))
 	// Post-churn: a closed channel (u==v directive) mid-build.
 	f.Add([]byte{6, 0, 1, 10, 10, 1, 2, 10, 10, 0, 2, 5, 5, 2, 3, 9, 9, 1, 1, 0, 2, 1, 3, 2, 2}, uint8(0), uint8(3), uint8(4))
+	// Dead ends: dst 3 (then src 3) hangs off one channel, so the second
+	// edge-disjoint search is skipped.
+	f.Add([]byte{6, 0, 1, 10, 10, 1, 2, 10, 10, 0, 2, 5, 5, 2, 3, 9, 9}, uint8(0), uint8(3), uint8(6))
+	f.Add([]byte{6, 0, 1, 10, 10, 1, 2, 10, 10, 0, 2, 5, 5, 2, 3, 9, 9}, uint8(3), uint8(0), uint8(6))
 	f.Fuzz(func(t *testing.T, data []byte, srcRaw, dstRaw, kRaw uint8) {
 		g := buildFuzzGraph(data)
 		if g == nil {
@@ -240,15 +254,26 @@ func FuzzKShortestPaths(f *testing.F) {
 			}
 		}
 
+		// Yen's unit spur searches stop at the first touch of dst; the
+		// generic-weight Yen never enters runUnit and must agree exactly.
+		ref := NewPathFinder(g)
+		if got, want := pf.KShortestPathsUnit(src, dst, k), ref.KShortestPaths(src, dst, k, UnitWeight); !pathListsEqual(got, want) {
+			t.Fatalf("KShortestPathsUnit:\nref %v\ngot %v", want, got)
+		}
+
 		// Edge-disjoint variants: same per-path guarantees plus pairwise
-		// edge-disjointness (the property EDW/EDS routing relies on).
+		// edge-disjointness (the property EDW/EDS routing relies on), and
+		// identity with the extractors that have no dead-end skip.
 		for _, tc := range []struct {
-			name  string
-			paths []Path
+			name        string
+			paths, want []Path
 		}{
-			{"EDS", pf.EdgeDisjointShortestPaths(src, dst, k)},
-			{"EDW", pf.EdgeDisjointWidestPaths(src, dst, k)},
+			{"EDS", pf.EdgeDisjointShortestPaths(src, dst, k), refEdgeDisjoint(ref, src, dst, k, false)},
+			{"EDW", pf.EdgeDisjointWidestPaths(src, dst, k), refEdgeDisjoint(ref, src, dst, k, true)},
 		} {
+			if !pathListsEqual(tc.paths, tc.want) {
+				t.Fatalf("%s:\nref %v\ngot %v", tc.name, tc.want, tc.paths)
+			}
 			used := map[EdgeID]int{}
 			for i, p := range tc.paths {
 				checkSimplePath(t, g, p, src, dst, tc.name)

@@ -224,6 +224,18 @@ func (pf *PathFinder) shortestUnit(src, dst NodeID, banEdges, banNodes bool) (Pa
 
 // runUnit executes the unit Dijkstra, leaving the prev tree in the scratch
 // arrays; it reports whether dst was reached.
+//
+// First-touch invariant: under unit weights pops are non-decreasing in hop
+// count, so when v is first relaxed from a node popped at du, every later
+// offer is du'+1 >= du+1 and `fnd < dist[v]` never holds again — a node is
+// pushed once and its prevNode/prevEdge are final the moment it is first
+// touched (its ancestors were touched, and finalized, before it). The
+// ban-aware loop therefore returns at the first relaxation that reaches dst
+// instead of expanding the rest of the frontier until dst pops; reconstruct
+// reads the same prev chain either way. Bans only remove arcs, so the
+// invariant holds under any banned set. The clean loop deliberately keeps
+// its pop-to-target shape: it is also splicerd's exact-finder rung, where
+// the early return is a separate, serve-side claim.
 func (pf *PathFinder) runUnit(src, dst NodeID, banEdges, banNodes bool) bool {
 	pf.begin()
 	pf.g.csrEnsure()
@@ -251,12 +263,12 @@ func (pf *PathFinder) runUnit(src, dst NodeID, banEdges, banNodes bool) bool {
 			break
 		}
 		nd := du + 1
-		fnd := float64(nd)
 		s := span[u]
 		arcs := slab[s.off : s.off+s.n]
 		if !banEdges && !banNodes {
 			// Clean variant (first searches, landmark detours, access
 			// paths): no ban checks in the inner loop at all.
+			fnd := float64(nd)
 			for _, arc := range arcs {
 				v := NodeID(arc >> 32)
 				sv := state[v]
@@ -281,20 +293,19 @@ func (pf *PathFinder) runUnit(src, dst NodeID, banEdges, banNodes bool) bool {
 				continue
 			}
 			v := NodeID(arc >> 32)
-			sv := state[v]
-			if sv == sd|1 {
+			if state[v] >= sd { // seen: the first touch was final
 				continue
 			}
 			if banNodes && bannedNode[v] {
 				continue
 			}
-			if sv < sd || fnd < dist[v] {
-				dist[v] = fnd
-				prevEdge[v] = eid
-				prevNode[v] = u
-				state[v] = sd
-				pf.uheap.push(v, nd)
+			prevEdge[v] = eid
+			prevNode[v] = u
+			state[v] = sd
+			if v == dst {
+				return true
 			}
+			pf.uheap.push(v, nd)
 		}
 	}
 	return pf.state[dst] >= sd
@@ -303,10 +314,10 @@ func (pf *PathFinder) runUnit(src, dst NodeID, banEdges, banNodes bool) bool {
 // UnitShortestPaths runs ONE unit-weight Dijkstra from src and returns the
 // shortest path to every target (the zero Path where unreachable). Each
 // entry is identical to UnitShortestPath(src, dsts[i]) run separately: the
-// expansion is deterministic and a finalized node's dist/prev never change,
-// so running the same expansion past an early target cannot alter that
-// target's already-frozen path. Landmark routing uses it to compute all k
-// sender→landmark detour heads in a single traversal.
+// expansion is deterministic and a touched node's prev never changes (the
+// first-touch invariant on runUnit), so the search stops at the relaxation
+// that reaches the last outstanding target. Landmark routing uses it to
+// compute all k sender→landmark detour heads in a single traversal.
 func (pf *PathFinder) UnitShortestPaths(src NodeID, dsts []NodeID) []Path {
 	out := make([]Path, len(dsts))
 	if len(dsts) == 0 {
@@ -316,52 +327,50 @@ func (pf *PathFinder) UnitShortestPaths(src NodeID, dsts []NodeID) []Path {
 	pf.g.csrEnsure()
 	pf.uheap.reset()
 	sd := pf.query << 1
-	reached := make([]bool, len(dsts))
-	remaining := len(dsts)
-	state, dist := pf.state, pf.dist
+	state := pf.state
 	prevEdge, prevNode := pf.prevEdge, pf.prevNode
 	span, slab := pf.g.csr.span, pf.g.csr.slab
-	dist[src] = 0
 	prevEdge[src] = -1
 	prevNode[src] = -1
 	state[src] = sd
+	// remaining counts the target slots not yet touched. A node is touched
+	// exactly once, so duplicate targets are each counted once, at that
+	// touch; the scan runs per touched node, not per pop.
+	remaining := len(dsts)
+	for _, d := range dsts {
+		if d == src {
+			remaining--
+		}
+	}
 	pf.uheap.push(src, 0)
-	for pf.uheap.len() > 0 && remaining > 0 {
+search:
+	for remaining > 0 && pf.uheap.len() > 0 {
 		u, du := pf.uheap.pop()
-		if state[u] == sd|1 {
-			continue
-		}
 		state[u] = sd | 1
-		for i, d := range dsts {
-			if d == u && !reached[i] {
-				reached[i] = true
-				remaining--
-			}
-		}
-		if remaining == 0 {
-			break
-		}
 		nd := du + 1
-		fnd := float64(nd)
 		s := span[u]
 		for _, arc := range slab[s.off : s.off+s.n] {
 			v := NodeID(arc >> 32)
-			sv := state[v]
-			if sv == sd|1 {
+			if state[v] >= sd {
 				continue
 			}
-			if sv < sd || fnd < dist[v] {
-				dist[v] = fnd
-				prevEdge[v] = EdgeID(uint32(arc))
-				prevNode[v] = u
-				state[v] = sd
-				pf.uheap.push(v, nd)
+			prevEdge[v] = EdgeID(uint32(arc))
+			prevNode[v] = u
+			state[v] = sd
+			for _, d := range dsts {
+				if d == v {
+					remaining--
+				}
 			}
+			if remaining == 0 {
+				break search
+			}
+			pf.uheap.push(v, nd)
 		}
 	}
 	for i, d := range dsts {
-		if reached[i] {
-			out[i] = reconstruct(src, d, pf.prevNode, pf.prevEdge)
+		if state[d] >= sd {
+			out[i] = reconstruct(src, d, prevNode, prevEdge)
 		}
 	}
 	return out
@@ -448,7 +457,7 @@ func (pf *PathFinder) widestPath(src, dst NodeID, masked bool) (Path, bool) {
 func (pf *PathFinder) EdgeDisjointWidestPaths(src, dst NodeID, k int) []Path {
 	pf.beginEdgeSet()
 	var out []Path
-	for len(out) < k {
+	for len(out) < k && !pf.deadEnd(src, dst, true) {
 		p, ok := pf.widestPath(src, dst, true)
 		if !ok {
 			break
@@ -459,6 +468,48 @@ func (pf *PathFinder) EdgeDisjointWidestPaths(src, dst NodeID, k int) []Path {
 		}
 	}
 	return out
+}
+
+// deadEnd reports whether a masked src→dst search is certain to fail because
+// an endpoint has no usable arc left: every arc out of src, or every arc into
+// dst, is in the current edge set or (widest only) carries no capacity in
+// the direction of travel. The edge-disjoint extractors would learn the same
+// thing from a search over src's whole component — the usual way they end,
+// since each extracted path masks one arc at both endpoints — and stop on
+// its !ok, so skipping that search leaves the returned paths identical.
+// src == dst is never a dead end: the searches answer it with the trivial
+// path without looking at an arc.
+func (pf *PathFinder) deadEnd(src, dst NodeID, widest bool) bool {
+	if src == dst {
+		return false
+	}
+	pf.g.csrEnsure()
+	return !pf.hasUsableArc(src, widest, true) || !pf.hasUsableArc(dst, widest, false)
+}
+
+// hasUsableArc reports whether some arc at v is outside the current edge set
+// and, for widest searches, has positive capacity out of v (out) or into it.
+func (pf *PathFinder) hasUsableArc(v NodeID, widest, out bool) bool {
+	c := &pf.g.csr
+	s := c.span[v]
+	for i := s.off; i < s.off+s.n; i++ {
+		arc := c.slab[i]
+		eid := EdgeID(uint32(arc))
+		if pf.edgeBanned(eid) {
+			continue
+		}
+		if !widest {
+			return true
+		}
+		capacity := c.caps[i]
+		if !out {
+			capacity = pf.g.edges[eid].Capacity(NodeID(arc >> 32))
+		}
+		if capacity > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // KShortestPaths implements Yen's algorithm on the finder's scratch state,
@@ -623,7 +674,7 @@ func (pf *PathFinder) kShortestPathsFrom(first Path, dst NodeID, k int, w Weight
 func (pf *PathFinder) EdgeDisjointShortestPaths(src, dst NodeID, k int) []Path {
 	pf.beginEdgeSet()
 	var out []Path
-	for len(out) < k {
+	for len(out) < k && !pf.deadEnd(src, dst, false) {
 		p, ok := pf.shortestUnit(src, dst, true, false)
 		if !ok {
 			break

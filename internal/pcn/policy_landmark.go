@@ -12,6 +12,15 @@ import (
 type landmarkPolicy struct {
 	basePolicy
 	landmarks []graph.NodeID
+	// tails holds one full unit tree per landmark and answers the
+	// landmark→recipient tails by tree walk: every planned pair asks each
+	// landmark for a tail, so k trees replace k searches per pair. The trees
+	// build lazily and repair from the graph's shape journal like the
+	// network label tier; a tree is the finder's own push/pop sequence run
+	// to completion, so a walk returns the finder's path. nil under
+	// RoutingHubLabels, where the network tier already holds these trees and
+	// its Served/Builds counters (part of Result) must keep counting tails.
+	tails *graph.HubLabels
 }
 
 func (p *landmarkPolicy) Setup(n *Network) error {
@@ -19,7 +28,18 @@ func (p *landmarkPolicy) Setup(n *Network) error {
 	// The landmark→recipient detour tails are landmark-rooted unit queries,
 	// so the label tier can precompute them when the override is on.
 	n.AddLabelRoots(p.landmarks)
+	if n.cfg.RoutingOverride != RoutingHubLabels {
+		p.tails = graph.NewHubLabels(n.g, n.PathFinder(), p.landmarks)
+	}
 	return nil
+}
+
+// tail returns the unit shortest path from landmark lm to the recipient.
+func (p *landmarkPolicy) tail(n *Network, lm, to graph.NodeID) (graph.Path, bool) {
+	if p.tails != nil {
+		return p.tails.UnitShortestPath(lm, to)
+	}
+	return n.unitShortestPath(lm, to)
 }
 
 func (p *landmarkPolicy) Plan(n *Network, tx workload.Tx) ([]graph.Path, []Allocation, error) {
@@ -53,7 +73,7 @@ func (p *landmarkPolicy) Plan(n *Network, tx workload.Tx) ([]graph.Path, []Alloc
 			if p1.Len() == 0 {
 				continue
 			}
-			p2, ok2 := n.unitShortestPath(lm, tx.Recipient)
+			p2, ok2 := p.tail(n, lm, tx.Recipient)
 			if ok2 {
 				out = append(out, concatPaths(p1, p2))
 			}
@@ -74,7 +94,9 @@ func (p *landmarkPolicy) Plan(n *Network, tx workload.Tx) ([]graph.Path, []Alloc
 	return paths, allocs, nil
 }
 
-// SpeculationSafe marks Plan as a pure function of the routed topology
-// (static capacities, hub assignments, config, endpoints), so it may run
-// speculatively on a planning worker (see SpeculativePlanner).
-func (p *landmarkPolicy) SpeculationSafe() bool { return true }
+// SpeculationSafe is false whenever the policy owns tail trees — which is
+// every configuration the speculative pool can arm in (it requires exact
+// routing): the trees build and repair lazily inside Plan, and a planning
+// worker's shadow Network shares this policy, so concurrent plans would race
+// on them — the same reason the network label tier disarms the pool.
+func (p *landmarkPolicy) SpeculationSafe() bool { return p.tails == nil }

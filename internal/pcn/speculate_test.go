@@ -24,7 +24,7 @@ func runWithParallelism(t *testing.T, scheme Scheme, workers int) Result {
 	}
 	if workers >= 2 {
 		st := n.SpeculationStats()
-		if _, safe := n.Policy().(SpeculativePlanner); safe && cfg.RoutingOverride == RoutingExact {
+		if speculationArmed(cfg, n.Policy()) {
 			if st.Workers != workers {
 				t.Fatalf("%v: speculation pool not armed (stats %+v)", scheme, st)
 			}
@@ -52,8 +52,9 @@ func resultsEqual(a, b Result) bool {
 }
 
 // TestSpeculativePlanningMatchesSerial is the package-level byte-identity
-// check: every scheme — the five speculation-safe ones and Flash, whose
-// arming request must gate off to a no-op — produces a deeply equal Result
+// check: every scheme — the four speculation-safe ones, and Flash and
+// Landmark (it owns lazily built tail trees), whose arming request must gate
+// off to a no-op — produces a deeply equal Result
 // (including the RouteCacheHits/Misses arithmetic that flows into panel
 // CSVs) with 4 planning workers as with none. The scenario-level golden
 // conformance twin covers the full CSV pipeline; this one localizes a

@@ -167,6 +167,13 @@ func (s Spec) RunScheme(scheme pcn.Scheme) (pcn.Result, error) {
 	if err != nil {
 		return pcn.Result{}, err
 	}
+	return s.runConfig(st, cfg)
+}
+
+// runConfig is RunScheme past the point where the pcn.Config is fixed: it
+// builds the network over st's topology and drives the static, attacked or
+// dynamic run path the spec selects.
+func (s Spec) runConfig(st *buildState, cfg pcn.Config) (pcn.Result, error) {
 	if s.Dynamics != nil {
 		net, err := pcn.NewNetwork(st.g, cfg)
 		if err != nil {

@@ -7,6 +7,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/splicer-pcn/splicer/internal/graph"
 	"github.com/splicer-pcn/splicer/internal/rng"
@@ -115,16 +116,20 @@ func BarabasiAlbert(src *rng.Source, n, m int, capFn CapacityFunc) (*graph.Graph
 			}
 		}
 	}
+	// Edges are added in draw order, never by ranging over a map: edge ids,
+	// capacity draws and adjacency order all follow it, so iteration order
+	// would make one seed yield a different graph per call.
+	chosen := make([]int, 0, m)
 	for u := m + 1; u < n; u++ {
-		chosen := map[int]bool{}
+		chosen = chosen[:0]
 		for len(chosen) < m {
 			v := endpoints[src.IntN(len(endpoints))]
-			if v == u || chosen[v] {
+			if v == u || slices.Contains(chosen, v) {
 				continue
 			}
-			chosen[v] = true
+			chosen = append(chosen, v)
 		}
-		for v := range chosen {
+		for _, v := range chosen {
 			if err := addEdge(u, v); err != nil {
 				return nil, err
 			}

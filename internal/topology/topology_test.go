@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -103,6 +104,33 @@ func TestBarabasiAlbertDegreeSkew(t *testing.T) {
 	mean := float64(sum) / float64(g.NumNodes())
 	if float64(maxDeg) < 3*mean {
 		t.Fatalf("max degree %d not heavy-tailed vs mean %.1f", maxDeg, mean)
+	}
+}
+
+// TestBarabasiAlbertRepeatable pins that one seed yields one graph: the
+// generator used to wire each new node by ranging over a map, so edge ids,
+// capacity draws and adjacency order differed from call to call.
+func TestBarabasiAlbertRepeatable(t *testing.T) {
+	build := func() string {
+		src := rng.New(11)
+		caps := src.Split(1)
+		g, err := BarabasiAlbert(src.Split(2), 500, 3, func() (float64, float64) {
+			return 1 + caps.Float64(), 1 + caps.Float64()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	first := build()
+	for i := 0; i < 4; i++ {
+		if build() != first {
+			t.Fatalf("build %d differs from the first build of the same seed", i+2)
+		}
 	}
 }
 
