@@ -368,13 +368,15 @@ func figBench(short bool) func(b *testing.B) {
 
 // figSpeculationBench is the intra-run parallelism scaling pair: the same
 // large scenario and τ point as fig8d_throughput_large, run through the
-// declarative engine so the spec can carry routing.parallelism. w1 is the
-// serial baseline (the pool arms at >= 2 workers); wN runs N speculative
-// route planners. Outputs are byte-identical across the pair by the golden
+// declarative engine so the spec can pin routing.parallelism. w1 pins the
+// serial path (0 would mean "the spare cores" and arm the pool on any
+// multi-core runner, so a baseline has to say 1); wN pins N planning
+// workers. Outputs are byte-identical across the pair by the golden
 // conformance contract — the entries exist to track the wall-clock ratio
 // next to the host's num_cpu field in the report (a 1-CPU host pins the
-// ratio near 1x: speculation needs spare cores to run ahead of the
-// committer).
+// ratio near 1x: prefetching needs spare cores to run ahead of the
+// committer). The unsuffixed fig8d_throughput_large runs at the default
+// width.
 func figSpeculationBench(short bool, workers int) func(b *testing.B) {
 	return func(b *testing.B) {
 		spec := scenario.LargeSpec()
@@ -409,9 +411,9 @@ func figscale100kBench(short bool) func(b *testing.B) {
 }
 
 // figscale100kParallelBench is the honest negative control for the scaling
-// pair: the 100k cell requests 4 speculation workers, but its hub-labels
+// pair: the 100k cell requests 4 planning workers, but its hub-labels
 // routing override keeps the pool disarmed (lazy label-tree builds mutate
-// shared state, so that policy is not speculation-safe). The tracked ratio
+// shared state and feed counters into the Result). The tracked ratio
 // against figscale_100k is therefore ~1x by design, recorded so the report
 // distinguishes "gated off" from "failed to scale".
 func figscale100kParallelBench(short bool) func(b *testing.B) {

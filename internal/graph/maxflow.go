@@ -21,21 +21,50 @@ type mfArc struct {
 	edge EdgeID
 }
 
+// MaxFlowScratch holds MaxFlow's working storage — the residual arc arena
+// and the per-node BFS/DFS/decomposition arrays — so a caller running one
+// max-flow per payment (Flash's elephants) reuses it instead of allocating
+// it per call. The zero value is ready; a scratch adapts to any graph and
+// serves one MaxFlowWith call at a time. The returned FlowPaths never alias
+// it.
+type MaxFlowScratch struct {
+	counts, start, iter, prevArc []int32
+	arcs                         []mfArc
+	level                        []int
+	queue, prevNode              []NodeID
+	flow                         []float64
+	seen                         []bool
+}
+
+// sized returns s[:n], reallocating when the capacity is short. The
+// contents are unspecified: MaxFlowWith initializes every array it reads.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // MaxFlow computes the maximum src→dst flow respecting directional edge
 // capacities using Dinic's algorithm, and decomposes the resulting flow into
 // paths. The Flash baseline uses this to route "elephant" payments.
 //
 // limit caps the computed flow (pass math.Inf(1) for the true max flow):
 // Flash stops augmenting once the payment amount is covered.
+func (g *Graph) MaxFlow(src, dst NodeID, limit float64) (float64, []FlowPath) {
+	return g.MaxFlowWith(new(MaxFlowScratch), src, dst, limit)
+}
+
+// MaxFlowWith is MaxFlow on caller-owned scratch storage; the result is
+// identical whatever the scratch held before.
 //
 // The residual network lives in one flat arc arena indexed by per-node
-// offsets (counted in a first pass), so building it costs a handful of
-// allocations instead of growing a slice per node — Flash calls this per
-// elephant payment, which made the incremental appends the simulator's
-// biggest allocation site. Arc order within each node's bucket matches the
-// former append order exactly, so BFS/DFS traversal — and therefore the
-// flow decomposition — is unchanged.
-func (g *Graph) MaxFlow(src, dst NodeID, limit float64) (float64, []FlowPath) {
+// offsets (counted in a first pass), so building it costs no per-node slice
+// growth — Flash calls this per elephant payment, which made the
+// incremental appends the simulator's biggest allocation site. Arc order
+// within each node's bucket matches the former append order exactly, so
+// BFS/DFS traversal — and therefore the flow decomposition — is unchanged.
+func (g *Graph) MaxFlowWith(sc *MaxFlowScratch, src, dst NodeID, limit float64) (float64, []FlowPath) {
 	if src == dst || limit <= 0 {
 		return 0, nil
 	}
@@ -43,7 +72,9 @@ func (g *Graph) MaxFlow(src, dst NodeID, limit float64) (float64, []FlowPath) {
 
 	// Pass 1: count arcs per node (a forward arc at the origin plus a
 	// residual arc at the target, per positive-capacity direction).
-	counts := make([]int32, n+1)
+	sc.counts = sized(sc.counts, n+1)
+	counts := sc.counts
+	clear(counts)
 	for i := range g.edges {
 		if g.removed[i] {
 			continue // tombstones keep their capacities; flow must not use them
@@ -58,11 +89,15 @@ func (g *Graph) MaxFlow(src, dst NodeID, limit float64) (float64, []FlowPath) {
 			counts[e.U]++
 		}
 	}
-	start := make([]int32, n+1)
+	sc.start = sized(sc.start, n+1)
+	start := sc.start
+	start[0] = 0
 	for u := 0; u < n; u++ {
 		start[u+1] = start[u] + counts[u]
 	}
-	arcs := make([]mfArc, start[n])
+	// Pass 2 writes every arc slot, so the arena needs no clearing.
+	sc.arcs = sized(sc.arcs, int(start[n]))
+	arcs := sc.arcs
 	cur := counts[:n]
 	copy(cur, start[:n]) // reuse counts as per-node fill cursors
 
@@ -88,9 +123,10 @@ func (g *Graph) MaxFlow(src, dst NodeID, limit float64) (float64, []FlowPath) {
 		}
 	}
 
-	level := make([]int, n)
-	iter := make([]int32, n)
-	queue := make([]NodeID, 0, n)
+	sc.level, sc.iter = sized(sc.level, n), sized(sc.iter, n)
+	level, iter := sc.level, sc.iter
+	sc.queue = sized(sc.queue, n) // a search enqueues each node at most once
+	queue := sc.queue[:0]
 	bfs := func() bool {
 		for i := range level {
 			level[i] = -1
@@ -151,7 +187,9 @@ func (g *Graph) MaxFlow(src, dst NodeID, limit float64) (float64, []FlowPath) {
 	// Net flow on each forward arc is orig - cap; residual arcs never carry
 	// positive net flow of their own. Cancel opposite-direction flows on the
 	// same channel so the decomposition doesn't emit 2-cycles.
-	flow := make([]float64, len(arcs))
+	sc.flow = sized(sc.flow, len(arcs))
+	flow := sc.flow
+	clear(flow)
 	for i := range arcs {
 		if a := &arcs[i]; a.orig > 0 {
 			if f := a.orig - a.cap; f > flowEps {
@@ -161,9 +199,8 @@ func (g *Graph) MaxFlow(src, dst NodeID, limit float64) (float64, []FlowPath) {
 	}
 
 	var paths []FlowPath
-	prevArc := make([]int32, n)
-	prevNode := make([]NodeID, n)
-	seen := make([]bool, n)
+	sc.prevArc, sc.prevNode, sc.seen = sized(sc.prevArc, n), sized(sc.prevNode, n), sized(sc.seen, n)
+	prevArc, prevNode, seen := sc.prevArc, sc.prevNode, sc.seen
 	for iterGuard := 0; iterGuard <= len(g.edges)+1; iterGuard++ {
 		for i := range prevArc {
 			prevArc[i] = -1

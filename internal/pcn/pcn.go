@@ -165,12 +165,14 @@ type Config struct {
 	// FlashMicePaths is the number of precomputed mice paths.
 	FlashMicePaths int
 
-	// Parallelism sets the speculative route-planning worker count for a
-	// single run (see speculate.go). 0 or 1 runs fully serial (default); a
-	// value >= 2 arms a pool of that many planning workers when the policy
-	// is speculation-safe and routing is exact. The committed event stream
-	// and every output are byte-identical either way — this is purely a
-	// wall-clock knob for big single cells.
+	// Parallelism is the number of route-planning workers inside this run
+	// (see speculate.go): 0, the default, means the cores this process may
+	// use (GOMAXPROCS); 1 runs serially; n >= 2 asks for n workers. A width
+	// of 2 or more arms the pool only when the policy can prefetch and
+	// routing is exact. A sweep running several cells at once hands each
+	// cell its share of the cores here (sweep.Run). The committed event
+	// stream and every output are byte-identical at any width — this only
+	// moves wall-clock.
 	Parallelism int
 
 	// Retry arms the failure-aware retry layer (internal/reliability):
@@ -345,7 +347,7 @@ type Network struct {
 	retryRng *rng.Source
 
 	// Speculative route-planning state (see speculate.go). spec is the
-	// per-run worker pool, nil unless Config.Parallelism arms it; specCtx is
+	// per-run worker pool, nil unless planningWorkers arms it; specCtx is
 	// non-nil only on a worker's shadow copy of the network, binding
 	// planRoutes to that worker's memoizing context.
 	spec    *specSession
@@ -408,8 +410,8 @@ func NewNetwork(g *graph.Graph, cfg Config) (*Network, error) {
 	if err := n.policy.Setup(n); err != nil {
 		return nil, err
 	}
-	if speculationArmed(cfg, n.policy) {
-		n.spec = newSpecSession(n, cfg.Parallelism)
+	if w := planningWorkers(cfg, n.policy); w > 0 {
+		n.spec = newSpecSession(n, n.policy.(RoutePrefetcher), w)
 	}
 	return n, nil
 }
@@ -855,9 +857,6 @@ func (n *Network) ScheduleArrival(tx workload.Tx) error {
 // at the moment of arrival rather than at trace-generation time.
 func (n *Network) Arrive(tx workload.Tx) {
 	n.countGenerated(tx)
-	if n.spec != nil {
-		n.spec.enqueue(tx)
-	}
 	n.onArrival(tx)
 }
 
@@ -893,10 +892,7 @@ func (n *Network) Every(interval, until float64, action func()) error {
 // dispatch was pushed past the horizon by compute backlog never produced an
 // outcome event; they are failures.
 func (n *Network) Execute(horizon float64) (Result, error) {
-	n.engine.Run(horizon)
-	if n.spec != nil {
-		n.spec.stop() // no planning goroutines survive past the run
-	}
+	n.runEngine(horizon)
 	// Dynamically driven runs deliver payments via Arrive during the run, so
 	// emptiness is only checkable afterwards.
 	if n.genCount == 0 {
@@ -908,6 +904,17 @@ func (n *Network) Execute(horizon float64) (Result, error) {
 		n.metrics.Add("tx_failed_compute_backlog", unresolved)
 	}
 	return n.summarize(), nil
+}
+
+// runEngine runs the event loop with the planning pool, if armed, alive
+// around it: no planning goroutine survives the run, a panicking one
+// included (sweep cells recover panics and carry on).
+func (n *Network) runEngine(horizon float64) {
+	if n.spec != nil {
+		n.spec.start()
+		defer n.spec.stop()
+	}
+	n.engine.Run(horizon)
 }
 
 func (n *Network) usesQueues() bool { return n.policy.UsesQueues() }

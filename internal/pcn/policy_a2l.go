@@ -84,7 +84,7 @@ func (a2lPolicy) Plan(n *Network, tx workload.Tx) ([]graph.Path, []Allocation, e
 	return paths, []Allocation{{PathIdx: 0, Value: tx.Value}}, nil
 }
 
-// SpeculationSafe marks Plan as a pure function of the routed topology
-// (static capacities, hub assignments, config, endpoints), so it may run
-// speculatively on a planning worker (see SpeculativePlanner).
-func (p *a2lPolicy) SpeculationSafe() bool { return true }
+// PrefetchRoutes: the whole Plan is a pure function of the routed topology
+// (static capacities, hub assignments, config, endpoints), so a planning
+// worker runs it for the route computations alone.
+func (p a2lPolicy) PrefetchRoutes(n *Network, tx workload.Tx) { _, _, _ = p.Plan(n, tx) }

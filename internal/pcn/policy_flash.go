@@ -24,6 +24,9 @@ type flashPolicy struct {
 	viewShape uint64
 	boot      *graph.Graph
 	bootShape uint64
+	// flow is the max-flow working storage, reused across elephants (the
+	// residual arena of a large view is most of what a Flash cell allocates).
+	flow graph.MaxFlowScratch
 }
 
 // WantsTick: Flash refreshes its stale balance snapshot each gossip round.
@@ -49,7 +52,7 @@ func (p *flashPolicy) Plan(n *Network, tx workload.Tx) ([]graph.Path, []Allocati
 			p.boot = n.RefreshBalanceView(p.boot, &p.bootShape)
 			view = p.boot
 		}
-		total, flows := view.MaxFlow(tx.Sender, tx.Recipient, tx.Value)
+		total, flows := view.MaxFlowWith(&p.flow, tx.Sender, tx.Recipient, tx.Value)
 		if total < tx.Value-1e-9 {
 			// Infeasible now on the stale view: distinct from no_route — the
 			// endpoints are connected, the balances just can't carry it.
@@ -63,10 +66,7 @@ func (p *flashPolicy) Plan(n *Network, tx workload.Tx) ([]graph.Path, []Allocati
 		}
 		return paths, allocs, nil
 	}
-	key := RouteKey{Src: tx.Sender, Dst: tx.Recipient, Type: routing.KSP, K: n.cfg.FlashMicePaths}
-	paths, err := n.Routes().GetOrCompute(key, func() ([]graph.Path, error) {
-		return n.kShortestPathsUnit(tx.Sender, tx.Recipient, n.cfg.FlashMicePaths), nil
-	})
+	paths, err := micePaths(n, tx)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -75,4 +75,23 @@ func (p *flashPolicy) Plan(n *Network, tx workload.Tx) ([]graph.Path, []Allocati
 	}
 	idx := int(n.nextTUID) % len(paths)
 	return paths, []Allocation{{PathIdx: idx, Value: tx.Value}}, nil
+}
+
+// micePaths returns the pair's precomputed mice path set: a pure function of
+// the routed topology, unlike everything else Flash plans with.
+func micePaths(n *Network, tx workload.Tx) ([]graph.Path, error) {
+	k := n.cfg.FlashMicePaths
+	key := RouteKey{Src: tx.Sender, Dst: tx.Recipient, Type: routing.KSP, K: k}
+	return n.planRoutes(key, func() ([]graph.Path, error) {
+		return n.kShortestPathsUnit(tx.Sender, tx.Recipient, k), nil
+	})
+}
+
+// PrefetchRoutes warms a mouse's path set and nothing else: an elephant
+// plans on the τ-stale balance view and never reads the mice key, and the
+// pick among the mice paths consumes nextTUID — both stay on the committer.
+func (p *flashPolicy) PrefetchRoutes(n *Network, tx workload.Tx) {
+	if tx.Value <= n.cfg.FlashElephantThreshold {
+		_, _ = micePaths(n, tx)
+	}
 }

@@ -93,10 +93,3 @@ func (p *landmarkPolicy) Plan(n *Network, tx workload.Tx) ([]graph.Path, []Alloc
 	}
 	return paths, allocs, nil
 }
-
-// SpeculationSafe is false whenever the policy owns tail trees — which is
-// every configuration the speculative pool can arm in (it requires exact
-// routing): the trees build and repair lazily inside Plan, and a planning
-// worker's shadow Network shares this policy, so concurrent plans would race
-// on them — the same reason the network label tier disarms the pool.
-func (p *landmarkPolicy) SpeculationSafe() bool { return p.tails == nil }

@@ -28,7 +28,7 @@ func (shortestPathPolicy) Plan(n *Network, tx workload.Tx) ([]graph.Path, []Allo
 	return paths, []Allocation{{PathIdx: 0, Value: tx.Value}}, nil
 }
 
-// SpeculationSafe marks Plan as a pure function of the routed topology
-// (static capacities, hub assignments, config, endpoints), so it may run
-// speculatively on a planning worker (see SpeculativePlanner).
-func (p *shortestPathPolicy) SpeculationSafe() bool { return true }
+// PrefetchRoutes: the whole Plan is a pure function of the routed topology
+// (static capacities, hub assignments, config, endpoints), so a planning
+// worker runs it for the route computations alone.
+func (p shortestPathPolicy) PrefetchRoutes(n *Network, tx workload.Tx) { _, _, _ = p.Plan(n, tx) }

@@ -33,7 +33,7 @@ func (spiderPolicy) Plan(n *Network, tx workload.Tx) ([]graph.Path, []Allocation
 	return paths, allocs, nil
 }
 
-// SpeculationSafe marks Plan as a pure function of the routed topology
-// (static capacities, hub assignments, config, endpoints), so it may run
-// speculatively on a planning worker (see SpeculativePlanner).
-func (p *spiderPolicy) SpeculationSafe() bool { return true }
+// PrefetchRoutes: the whole Plan is a pure function of the routed topology
+// (static capacities, hub assignments, config, endpoints), so a planning
+// worker runs it for the route computations alone.
+func (p spiderPolicy) PrefetchRoutes(n *Network, tx workload.Tx) { _, _, _ = p.Plan(n, tx) }

@@ -100,7 +100,7 @@ func (splicerPolicy) Plan(n *Network, tx workload.Tx) ([]graph.Path, []Allocatio
 	return paths, allocs, nil
 }
 
-// SpeculationSafe marks Plan as a pure function of the routed topology
-// (static capacities, hub assignments, config, endpoints), so it may run
-// speculatively on a planning worker (see SpeculativePlanner).
-func (p *splicerPolicy) SpeculationSafe() bool { return true }
+// PrefetchRoutes: the whole Plan is a pure function of the routed topology
+// (static capacities, hub assignments, config, endpoints), so a planning
+// worker runs it for the route computations alone.
+func (p splicerPolicy) PrefetchRoutes(n *Network, tx workload.Tx) { _, _, _ = p.Plan(n, tx) }

@@ -1,7 +1,9 @@
 package pcn
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -9,29 +11,32 @@ import (
 	"github.com/splicer-pcn/splicer/internal/workload"
 )
 
-// Speculative payment-level parallelism (ROADMAP item 3, speculative shape).
+// Speculative payment-level parallelism.
 //
 // The discrete-event engine stays single-threaded: event ordering, channel
 // state, HTLC locking, rate control and metrics all remain exactly the
-// serial simulator. What parallelizes is the part the PR 4 profile showed
-// dominating big cells — route planning. For every scheme except Flash,
-// SchemePolicy.Plan is a pure function of the routed topology (static edge
-// capacities, hub assignments, config, and the payment endpoints): live
-// channel balances never feed into path selection, and every topology
-// mutation funnels through Network.InvalidateRoutes. That purity is what
-// makes speculation sound, and policies opt into it explicitly via the
-// SpeculativePlanner marker.
+// serial simulator. What parallelizes is the part the profiles show
+// dominating big cells — route planning. For most schemes SchemePolicy.Plan
+// is a pure function of the routed topology (static edge capacities, hub
+// assignments, config, and the payment endpoints): live channel balances
+// never feed into path selection, and every topology mutation funnels
+// through Network.InvalidateRoutes. For Flash the same holds of the mice
+// path set, which is most of its planning time. That purity is what makes
+// speculation sound, and a policy opts into it by implementing
+// RoutePrefetcher.
 //
-// Shape: when a run is armed (Config.Parallelism >= 2, exact routing, a
-// marker-bearing policy), every payment handed to ScheduleArrival/Arrive is
-// also enqueued to a bounded worker pool. Each worker owns a shadow Network
-// — a shallow copy of the live one bound to a private graph.PathFinder —
-// and speculatively executes the real policy.Plan against it. The plan
-// result itself is discarded; the useful effect is a warmed session memo
+// Shape: when a run is armed (planningWorkers > 0), every payment handed to
+// ScheduleArrival is also queued for a pool of planning workers that lives
+// exactly as long as Execute. (A payment delivered by Arrive is dispatched
+// within a few events of its arrival, before a worker could get to it:
+// dynamics- and attack-driven arrivals plan on the committer as ever.) Each
+// worker owns a shadow Network — a shallow copy of the live one bound to a
+// private graph.PathFinder — and runs the policy's PrefetchRoutes against
+// it. Nothing is returned; the useful effect is a warmed session memo
 // (specSession.entries) keyed by RouteKey, with each entry recording the
 // nested planRoutes calls its computation performed (children), in order.
 //
-// The serial dispatch path then re-runs Plan as before, but planRoutes
+// The serial dispatch path then runs Plan as before, but planRoutes
 // resolves cache misses from the memo by *replaying* the recorded lookup
 // tree against the live RouteCache in the exact order the serial compute
 // would have performed it — same Get/Put sequence, same hit/miss counter
@@ -41,7 +46,7 @@ import (
 // serially, which is the rollback-and-replay-in-timestamp-order fallback:
 // the committed event stream, every metric, and every figure CSV are
 // byte-identical to the serial run by construction (and pinned by the
-// golden-conformance suite with parallelism forced on).
+// golden-conformance suite with the pool forced on and forced off).
 //
 // Mutation safety: every mutator of worker-visible state (dynamic.go's
 // channel/node operations, RePlaceHubs, ReshapeMultiStar, CapitalizeHubs)
@@ -51,35 +56,54 @@ import (
 // space is a DAG: composed routes depend on transit legs, never the
 // reverse), so pausing cannot deadlock.
 
-// SpeculativePlanner marks a SchemePolicy whose Plan is a pure function of
-// the routed topology and may therefore run speculatively on a worker
-// against a shadow Network. Implementations promise that Plan (including
-// everything reachable from it) never reads live channel balances, never
-// mutates policy or network state shared beyond the RouteCache funnel, and
-// routes every cached computation through Network.planRoutes. Flash does
-// not qualify: its elephant paths read the τ-stale balance view and its
-// mice path choice consumes per-payment state.
-type SpeculativePlanner interface {
-	SpeculationSafe() bool
+// RoutePrefetcher is implemented by a SchemePolicy whose Plan has a part
+// that is a pure function of the routed topology, and so may run ahead of
+// dispatch on a planning worker. PrefetchRoutes runs that part for tx
+// against the worker's shadow Network n; its only product is the route
+// computations it sends through n.planRoutes. A policy whose whole Plan is
+// pure prefetches by running Plan and discarding the result. Flash
+// prefetches only its mice path set: elephants read the τ-stale balance
+// view, and the mice path pick consumes nextTUID, so both stay on the
+// serial committer.
+//
+// Implementations promise that PrefetchRoutes (and everything reachable
+// from it) never reads live channel balances, never mutates policy or
+// network state, and that Plan reads the same keys through n.planRoutes,
+// never through Routes() directly. Landmark does not qualify: its plans
+// build and repair the policy-owned tail trees lazily.
+type RoutePrefetcher interface {
+	PrefetchRoutes(n *Network, tx workload.Tx)
 }
 
-// speculationArmed reports whether cfg+policy can run the speculative
-// planning pool. Hub-label routing is excluded: the label tier's
-// Served/Fallback/Builds counters flow into the Result (and panel CSVs),
-// and its lazy per-hub tree builds mutate shared state per query — both
-// would diverge under concurrent planning.
-func speculationArmed(cfg Config, policy SchemePolicy) bool {
-	if cfg.Parallelism < 2 || cfg.RoutingOverride != RoutingExact {
-		return false
+// planningWorkers resolves how many planning workers a run gets: none
+// unless the policy can prefetch and routing is exact, else
+// Config.Parallelism with 0 read as the cores this process may use. One
+// worker would only move the serial work to another goroutine, so it
+// counts as none.
+//
+// Hub-label routing is excluded: the label tier's Served/Fallback/Builds
+// counters flow into the Result (and panel CSVs), and its lazy per-hub tree
+// builds mutate shared state per query — both would diverge under
+// concurrent planning.
+func planningWorkers(cfg Config, policy SchemePolicy) int {
+	if _, ok := policy.(RoutePrefetcher); !ok || cfg.RoutingOverride != RoutingExact {
+		return 0
 	}
-	sp, ok := policy.(SpeculativePlanner)
-	return ok && sp.SpeculationSafe()
+	w := cfg.Parallelism
+	if w == 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	if w < 2 {
+		return 0
+	}
+	return w
 }
 
-// specEntry is one memoized route computation. The creating worker (leader)
-// fills paths/err/children and closes done; concurrent workers needing the
-// same key — and the serial committer, if dispatch catches up with an
-// in-flight plan — wait on done. children lists the RouteKeys the leader's
+// specEntry is one memoized route computation. Its creator (the leader: a
+// worker, or the committer claiming a key no worker has reached) fills
+// paths/err/children and closes done; concurrent workers needing the same
+// key — and the serial committer, if dispatch catches up with an in-flight
+// plan — wait on done. children lists the RouteKeys the leader's
 // compute consulted via nested planRoutes, in call order, whether they were
 // served from the live cache or from sibling entries: the commit replay
 // reproduces the serial lookup sequence from it.
@@ -93,19 +117,26 @@ type specEntry struct {
 // SpeculationStats reports the speculative planning pool's activity. All
 // zero for serial runs. The stats are observability-only: they are not part
 // of Result, so result rows and CSVs stay column-identical to serial runs.
+//
+// Two identities hold whatever the scheduler did: Enqueued is the number of
+// payments handed to ScheduleArrival, and MemoHits + SerialPlans is
+// the run's RouteCache miss count through planRoutes — every miss is either
+// replayed from the memo or computed on the committer. Their split, and
+// Planned, say how far ahead of dispatch the workers got.
 type SpeculationStats struct {
 	Workers     int
 	Enqueued    uint64 // payments handed to the pool
-	Planned     uint64 // speculative plans executed (incl. aborted ones)
-	MemoHits    uint64 // dispatch plans served by replaying the memo
-	SerialPlans uint64 // dispatch plans computed serially (memo miss/stale)
+	Planned     uint64 // payments a worker prefetched (incl. aborted ones)
+	MemoHits    uint64 // route-cache misses served by replaying the memo
+	SerialPlans uint64 // route-cache misses computed serially (memo miss/stale)
 	Pauses      uint64 // mutator quiesce barriers taken
 }
 
 // specSession is the per-run speculative planning pool.
 type specSession struct {
-	n       *Network // live network (serial committer's view)
-	workers int
+	n        *Network // live network (serial committer's view)
+	prefetch RoutePrefetcher
+	workers  int
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -127,43 +158,53 @@ type specSession struct {
 	pauses      atomic.Uint64
 }
 
-func newSpecSession(n *Network, workers int) *specSession {
+func newSpecSession(n *Network, prefetch RoutePrefetcher, workers int) *specSession {
 	sp := &specSession{
-		n:       n,
-		workers: workers,
-		entries: map[RouteKey]*specEntry{},
+		n:        n,
+		prefetch: prefetch,
+		workers:  workers,
+		entries:  map[RouteKey]*specEntry{},
 	}
 	sp.cond = sync.NewCond(&sp.mu)
 	return sp
 }
 
-// enqueue hands a payment to the pool, starting the workers lazily on first
-// use (so networks that never schedule arrivals never spawn goroutines).
-// Runs on the serial goroutine only.
+// enqueue hands a scheduled payment to the pool. Before the run starts
+// nobody waits on the cond, so a scheduled trace costs no wake-up per
+// payment (Signal returns at once) and the workers find it whole when start
+// launches them; during the run it wakes a parked worker. Runs on the serial
+// goroutine only, so the one other cond waiter, pause, is never waiting here.
 func (sp *specSession) enqueue(tx workload.Tx) {
 	sp.enqueued.Add(1)
 	sp.mu.Lock()
-	if !sp.started {
-		sp.started = true
-		sp.closing = false
-		// The one-time lazy CSR build must not race the workers' private
-		// finders; force it from the serial goroutine before any start.
-		sp.n.g.EnsureCSR()
-		for i := 0; i < sp.workers; i++ {
-			w := sp.newWorker()
-			sp.wg.Add(1)
-			go w.loop()
-		}
-	}
 	sp.queue = append(sp.queue, tx)
 	sp.mu.Unlock()
 	sp.cond.Signal()
 }
 
+// start launches the workers for one Execute; a Network that never
+// executes a run (splicerd's) never owns a planning goroutine.
+func (sp *specSession) start() {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if sp.started {
+		return
+	}
+	sp.started, sp.closing = true, false
+	// The one-time lazy CSR build must not race the workers' private
+	// finders; force it from the serial goroutine before any start.
+	sp.n.g.EnsureCSR()
+	for i := 0; i < sp.workers; i++ {
+		w := sp.newWorker()
+		sp.wg.Add(1)
+		go w.loop()
+	}
+}
+
 // stop tears the pool down, waiting out in-flight plans so no goroutine
 // touches the graph after Execute returns. Pending unplanned payments are
 // dropped (their dispatch already happened or will compute serially). The
-// session stays reusable: a later enqueue restarts the workers.
+// session stays reusable: a later start relaunches the workers.
 func (sp *specSession) stop() {
 	sp.mu.Lock()
 	if !sp.started {
@@ -197,8 +238,11 @@ func (sp *specSession) pause() {
 func (sp *specSession) resume() {
 	sp.mu.Lock()
 	sp.paused--
+	wake := sp.paused == 0 && sp.head < len(sp.queue)
 	sp.mu.Unlock()
-	sp.cond.Broadcast()
+	if wake { // workers parked for want of work stay parked
+		sp.cond.Broadcast()
+	}
 }
 
 // invalidate drops the memo. Called from InvalidateRoutes on the serial
@@ -263,13 +307,15 @@ type specWorkerCtx struct {
 // graph, channel slice, hub maps and config with the live network — all
 // either immutable during speculation or mutated only under pause — but
 // owns its PathFinder (Dijkstra scratch is the one per-query mutable state
-// Plan needs). Speculation is exact-routing-only, so the copied label-tier
-// pointers are never consulted (HubLabels() returns nil).
+// Plan needs), built by Network.PathFinder at the worker's first query so a
+// pool that is never fed costs two parked goroutines and nothing else.
+// Speculation is exact-routing-only, so the copied label-tier pointers are
+// never consulted (HubLabels() returns nil).
 func (sp *specSession) newWorker() *specWorker {
 	w := &specWorker{sess: sp}
 	w.ctx.sess = sp
 	shadow := *sp.n
-	shadow.pathFinder = graph.NewPathFinder(sp.n.g)
+	shadow.pathFinder = nil
 	shadow.spec = nil
 	shadow.specCtx = &w.ctx
 	w.shadow = &shadow
@@ -305,20 +351,25 @@ func (w *specWorker) loop() {
 		if wake {
 			sp.cond.Broadcast() // release a waiting pause()
 		}
+		// The workers and the committer are one goroutine more than the
+		// cores the pool was sized for, and a busy worker keeps its P for a
+		// 10 ms slice: without this yield a committer made runnable by a
+		// finished entry sits out that slice behind plans it may never need
+		// (A2L drops most payments for compute backlog before planning).
+		runtime.Gosched()
 	}
 }
 
-// plan speculatively executes the policy's Plan against the shadow. The
-// result is discarded — the warmed memo is the product. Panics are captured
-// into the in-flight entry (planSpeculative's recover) or swallowed here;
-// the serial committer recomputes and surfaces them debuggably.
+// plan runs the policy's prefetch for tx against the shadow. Panics are
+// captured into the in-flight entry (planSpeculative's recover) or swallowed
+// here; the serial committer recomputes and surfaces them debuggably.
 func (w *specWorker) plan(tx workload.Tx) {
 	w.sess.planned.Add(1)
 	// SetHubs reassigns the hub slice (online re-placement); re-sync per
 	// plan. Safe: hub mutations happen only under pause.
 	w.shadow.hubs = w.sess.n.hubs
 	defer func() { _ = recover() }() // see planSpeculative
-	w.shadow.policy.Plan(w.shadow, tx)
+	w.sess.prefetch.PrefetchRoutes(w.shadow, tx)
 }
 
 // planSpeculative is planRoutes on a shadow Network: resolve from the live
@@ -366,16 +417,23 @@ func (ctx *specWorkerCtx) record(key RouteKey) {
 	}
 }
 
+// errUncommitted marks a memo entry the committer claimed and then failed
+// to fill (its compute returned an error or panicked).
+var errUncommitted = errors.New("pcn: committer's route computation did not finish")
+
 // planCommit is planRoutes on the armed live network (serial goroutine).
 // It reproduces GetOrCompute's observable behavior exactly: Get bumps one
 // hit on a hit and one miss on a miss — the same arithmetic GetOrCompute
 // performs — and on a miss either replays the memo (identical values,
-// identical nested Get/Put order) or falls back to the serial compute.
+// identical nested Get/Put order) or falls back to the serial compute. A
+// key no worker has reached yet is claimed in the memo first, so a worker
+// arriving mid-compute waits for this result instead of repeating the work.
 func (sp *specSession) planCommit(key RouteKey, compute func() ([]graph.Path, error)) ([]graph.Path, error) {
 	if paths, ok := sp.n.routes.Get(key); ok {
 		return paths, nil
 	}
-	if e := sp.lookup(key); e != nil {
+	e, claimed := sp.entry(key)
+	if !claimed {
 		<-e.done // bounded: one route computation
 		if e.err == nil && sp.replayable(e) {
 			sp.replay(e)
@@ -383,6 +441,9 @@ func (sp *specSession) planCommit(key RouteKey, compute func() ([]graph.Path, er
 			sp.memoHits.Add(1)
 			return e.paths, nil
 		}
+	} else {
+		e.err = errUncommitted
+		defer close(e.done) // on every path out, panics included
 	}
 	sp.serialPlans.Add(1)
 	paths, err := compute()
@@ -390,6 +451,9 @@ func (sp *specSession) planCommit(key RouteKey, compute func() ([]graph.Path, er
 		return nil, err
 	}
 	sp.n.routes.Put(key, paths)
+	if claimed {
+		e.paths, e.err = paths, nil
+	}
 	return paths, nil
 }
 
@@ -430,6 +494,7 @@ func (sp *specSession) replay(e *specEntry) {
 		ce := sp.lookup(ck) // non-nil: replayable() verified
 		sp.replay(ce)
 		sp.n.routes.Put(ck, ce.paths)
+		sp.memoHits.Add(1)
 	}
 }
 

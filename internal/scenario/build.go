@@ -159,11 +159,16 @@ func (s Spec) dynConfig() dynamics.Config {
 // scenario-engine simulation asserts that routing moved funds without
 // minting or burning them.
 func (s Spec) RunScheme(scheme pcn.Scheme) (pcn.Result, error) {
+	return s.runScheme(scheme, 0)
+}
+
+// runScheme is RunScheme for a cell granted planners of the cores (0: all).
+func (s Spec) runScheme(scheme pcn.Scheme, planners int) (pcn.Result, error) {
 	st, err := s.beginBuild()
 	if err != nil {
 		return pcn.Result{}, err
 	}
-	cfg, err := s.config(scheme)
+	cfg, err := s.config(scheme, planners)
 	if err != nil {
 		return pcn.Result{}, err
 	}
@@ -290,6 +295,6 @@ func (s Spec) Cell(scheme pcn.Scheme, axis string, x float64, label string) swee
 		Axis:   axis,
 		X:      x,
 		Label:  label,
-		Run:    func() (pcn.Result, error) { return s.RunScheme(scheme) },
+		Run:    func(planners int) (pcn.Result, error) { return s.runScheme(scheme, planners) },
 	}
 }

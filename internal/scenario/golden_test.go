@@ -37,23 +37,27 @@ func goldenPath(name string) string {
 	return filepath.Join("testdata", "golden", name+".csv")
 }
 
+// TestGoldenConformance pins every cell to one planning worker, so the
+// reference the fixtures are compared with (and regenerated from) is the
+// serial simulator on any host, whatever its core count.
 func TestGoldenConformance(t *testing.T) {
+	defer ForceParallelism(1)()
 	runGoldenConformance(t, false)
 }
 
-// TestGoldenConformanceParallel re-runs the pinned entries with speculative
-// route planning forced to 4 workers in every cell. The fixtures are the
-// SAME files as the serial suite: this is the tentpole's byte-identity
-// proof at the panel level — event stream, metrics and CSV formatting all
-// unmoved by intra-run parallelism, across the static, churn, table,
-// attack and retry pipelines. -update-golden is refused here by
-// construction (fixtures are regenerated serially only).
+// TestGoldenConformanceParallel re-runs the pinned entries with 4 planning
+// workers forced into every cell — more than the sweep's budget would ever
+// grant, and on a 1-CPU host too. The fixtures are the SAME files as the
+// serial suite: this is the byte-identity proof at the panel level — event
+// stream, metrics and CSV formatting all unmoved by intra-run parallelism,
+// across the static, churn, table, attack and retry pipelines.
+// -update-golden is refused here by construction (fixtures are regenerated
+// serially only).
 func TestGoldenConformanceParallel(t *testing.T) {
 	if *updateGolden {
 		t.Skip("golden fixtures regenerate from serial runs; skipping parallel twin under -update-golden")
 	}
-	restore := ForceParallelism(4)
-	defer restore()
+	defer ForceParallelism(4)()
 	runGoldenConformance(t, true)
 }
 

@@ -121,7 +121,7 @@ func TestLandmarkTreeTailsMatchFinder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg, err := s.config(pcn.SchemeLandmark)
+		cfg, err := s.config(pcn.SchemeLandmark, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strconv"
 
 	"github.com/splicer-pcn/splicer/internal/attack"
 	"github.com/splicer-pcn/splicer/internal/channel"
@@ -186,10 +185,11 @@ type RoutingSpec struct {
 	// (Lightning's max_accepted_htlcs — the resource HTLC jamming exhausts);
 	// 0 keeps the paper's unlimited setting.
 	MaxInFlightTUs int `json:"max_in_flight_tus,omitempty"`
-	// Parallelism arms speculative route-planning workers inside each cell
-	// (pcn.Config.Parallelism): >= 2 runs that many planning workers over a
-	// shared topology, with outputs byte-identical to serial. 0 (default)
-	// keeps every cell single-threaded, so all golden panels are untouched.
+	// Parallelism is the number of route-planning workers inside each cell
+	// (pcn.Config.Parallelism): 0 (default) takes the cell's share of the
+	// spare cores — all of them for a lone cell, GOMAXPROCS / sweep workers
+	// inside a sweep — 1 runs the cell serially, n >= 2 pins n workers.
+	// Outputs are byte-identical at any value.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Retry arms the failure-aware retry layer (internal/reliability). Absent
 	// or unarmed, the cell is byte-identical to the retry-less simulator.
@@ -389,7 +389,9 @@ func routingOverrideByName(name string) (pcn.RoutingOverride, error) {
 
 // config maps the spec onto a pcn.Config for the given scheme, mirroring the
 // historical runners: paper defaults first, then the spec's overrides.
-func (s Spec) config(scheme pcn.Scheme) (pcn.Config, error) {
+// planners is the share of the cores the caller grants the cell (0: all);
+// it applies only where neither the spec nor ForceParallelism fixes a width.
+func (s Spec) config(scheme pcn.Scheme, planners int) (pcn.Config, error) {
 	cfg := pcn.NewConfig(scheme)
 	r := s.Routing
 	if r.HubCandidates > 0 {
@@ -430,38 +432,27 @@ func (s Spec) config(scheme pcn.Scheme) (pcn.Config, error) {
 		cfg.Retry = r.Retry.config()
 	}
 	cfg.Parallelism = r.Parallelism
-	if fp := forcedParallelism(); fp > cfg.Parallelism {
-		// Conformance override: run every cell with fp planning workers.
-		// Byte-identity makes this safe for any spec; the golden suite uses
-		// it to pin parallel == serial across all panels.
-		cfg.Parallelism = fp
+	if forcedParallelism != 0 {
+		cfg.Parallelism = forcedParallelism
+	}
+	if cfg.Parallelism == 0 {
+		cfg.Parallelism = planners
 	}
 	return cfg, nil
 }
 
-// forceParallelismVar is the process-wide parallelism floor applied to every
-// cell config. Seeded from SPLICER_FORCE_PARALLELISM so CI can sweep the
-// whole suite in parallel mode without touching specs; tests override it via
-// ForceParallelism.
-var forceParallelismVar = envForcedParallelism()
+// forcedParallelism, when non-zero, replaces every cell's planning width.
+var forcedParallelism int
 
-func envForcedParallelism() int {
-	n, err := strconv.Atoi(os.Getenv("SPLICER_FORCE_PARALLELISM"))
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
-}
-
-func forcedParallelism() int { return forceParallelismVar }
-
-// ForceParallelism overrides the process-wide parallelism floor (the
-// SPLICER_FORCE_PARALLELISM knob) and returns a restore func. Test-only by
-// convention; not safe for concurrent use with cell builds.
+// ForceParallelism pins the planning width of every cell config built until
+// the returned restore func runs, over both the spec's own value and the
+// sweep's budget: 1 for a serial reference on any host, n >= 2 to exercise
+// the pool even where GOMAXPROCS is 1. Byte-identity makes this safe for
+// any spec. Test-only; not safe for concurrent use with cell builds.
 func ForceParallelism(workers int) (restore func()) {
-	prev := forceParallelismVar
-	forceParallelismVar = workers
-	return func() { forceParallelismVar = prev }
+	prev := forcedParallelism
+	forcedParallelism = workers
+	return func() { forcedParallelism = prev }
 }
 
 // attackConfig maps the spec's attack block onto an attack.Config. The

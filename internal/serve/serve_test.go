@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math/rand"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,11 +32,20 @@ func testNetwork(t testing.TB, seed uint64, nodes int) *pcn.Network {
 	}
 	cfg := pcn.NewConfig(pcn.SchemeSplicer)
 	cfg.NumHubCandidates = 8
+	cfg.Parallelism = 2 // what 0 means on splicerd's usual host, on any host
 	n, err := pcn.NewNetwork(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// planningGoroutines counts the live goroutines running a pcn planning
+// worker.
+func planningGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "pcn.(*specWorker).loop")
 }
 
 func TestRouteMatchesDirectComputation(t *testing.T) {
@@ -223,6 +234,15 @@ func TestShutdownDrainsAndRefuses(t *testing.T) {
 	}
 	if pins := st.ActivePins(); pins != 0 {
 		t.Fatalf("shutdown leaked %d pinned epochs", pins)
+	}
+	// The network's config arms the planning pool, but only a simulation
+	// run (Execute) staffs it: a daemon routes and publishes without ever
+	// owning a planning goroutine.
+	if sp := n.SpeculationStats(); sp.Workers != 2 || sp.Enqueued != 0 || sp.Planned != 0 {
+		t.Fatalf("served network's planning pool: %+v, want 2 workers configured and nothing fed", sp)
+	}
+	if g := planningGoroutines(); g != 0 {
+		t.Fatalf("%d planning goroutines alive in a serving process", g)
 	}
 	// Second shutdown is a no-op.
 	if err := s.Shutdown(ctx); err != nil {

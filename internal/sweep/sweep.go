@@ -40,14 +40,9 @@ type Cell struct {
 	// entirely (Build is ignored). Dynamic-network cells use it to drive the
 	// network through a dynamics.Driver instead of a pre-generated trace.
 	// Like Build, it must not share mutable state with other cells.
-	Run func() (pcn.Result, error)
-	// Parallelism overrides the built config's speculative route-planning
-	// worker count (pcn.Config.Parallelism) for Build-path cells; 0 keeps
-	// whatever Build returned. Run-hook cells own their full pipeline and
-	// carry the knob in their spec instead. Outputs are byte-identical at
-	// any setting, so aggregation stays worker-count- and
-	// parallelism-invariant.
-	Parallelism int
+	// planners is the cell's share of the cores (see Run) and belongs in
+	// pcn.Config.Parallelism unless the cell's own spec pins a width.
+	Run func(planners int) (pcn.Result, error)
 }
 
 // CellResult pairs a cell with its simulation outcome.
@@ -57,11 +52,14 @@ type CellResult struct {
 	Err    error
 }
 
-// RunCell executes a single cell synchronously. A panic in the cell's
+// RunCell executes a single cell synchronously, as a process's only cell: it
+// may plan on every core (pcn.Config.Parallelism 0). A panic in the cell's
 // Build/Run hook (or anywhere downstream in its simulation) is recovered
 // into CellResult.Err — value and stack preserved — so one poisoned cell
 // fails in place instead of killing a whole sweep's process.
-func RunCell(c Cell) (out CellResult) {
+func RunCell(c Cell) CellResult { return runCell(c, 0) }
+
+func runCell(c Cell, planners int) (out CellResult) {
 	out = CellResult{Cell: c}
 	defer func() {
 		if r := recover(); r != nil {
@@ -69,7 +67,7 @@ func RunCell(c Cell) (out CellResult) {
 		}
 	}()
 	if c.Run != nil {
-		out.Result, out.Err = c.Run()
+		out.Result, out.Err = c.Run(planners)
 		return out
 	}
 	if c.Build == nil {
@@ -81,8 +79,8 @@ func RunCell(c Cell) (out CellResult) {
 		out.Err = err
 		return out
 	}
-	if c.Parallelism > 0 {
-		cfg.Parallelism = c.Parallelism
+	if cfg.Parallelism == 0 {
+		cfg.Parallelism = planners
 	}
 	n, err := pcn.NewNetwork(g, cfg)
 	if err != nil {
@@ -96,20 +94,28 @@ func RunCell(c Cell) (out CellResult) {
 // Run executes the cells on a bounded worker pool. workers <= 0 uses
 // GOMAXPROCS; workers == 1 runs sequentially in the calling goroutine. The
 // result slice is indexed like cells, independent of scheduling order.
+//
+// The cores are budgeted once, here: W sweep workers leave each running
+// cell max(1, GOMAXPROCS/W) of them for its own route-planning workers
+// (pcn.Config.Parallelism), so a sweep that fills the cores runs every cell
+// on the serial path and a sweep of one worker lets each cell plan on all
+// of them. Outputs are byte-identical either way.
 func Run(cells []Cell, workers int) []CellResult {
 	results := make([]CellResult, len(cells))
 	if len(cells) == 0 {
 		return results
 	}
+	procs := runtime.GOMAXPROCS(0)
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		workers = procs
 	}
 	if workers > len(cells) {
 		workers = len(cells)
 	}
+	planners := max(1, procs/workers)
 	if workers == 1 {
 		for i, c := range cells {
-			results[i] = RunCell(c)
+			results[i] = runCell(c, planners)
 		}
 		return results
 	}
@@ -120,7 +126,7 @@ func Run(cells []Cell, workers int) []CellResult {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				results[i] = RunCell(cells[i])
+				results[i] = runCell(cells[i], planners)
 			}
 		}()
 	}

@@ -3,6 +3,7 @@ package sweep
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -179,11 +180,11 @@ func TestPoisonedCellDoesNotKillSweep(t *testing.T) {
 		i := i
 		if i == poisoned {
 			cells[i] = Cell{Scheme: pcn.SchemeSplicer, Seed: uint64(i), Axis: "poison", X: 1,
-				Run: func() (pcn.Result, error) { panic("poisoned cell") }}
+				Run: func(int) (pcn.Result, error) { panic("poisoned cell") }}
 			continue
 		}
 		cells[i] = Cell{Scheme: pcn.SchemeSplicer, Seed: uint64(i), Axis: "poison", X: 0,
-			Run: func() (pcn.Result, error) { return pcn.Result{Generated: i}, nil }}
+			Run: func(int) (pcn.Result, error) { return pcn.Result{Generated: i}, nil }}
 	}
 	results := Run(cells, 4)
 	for i, r := range results {
@@ -222,18 +223,106 @@ func TestBuildPanicRecovered(t *testing.T) {
 	}
 }
 
-// TestCellParallelismIsOutputInvariant pins the per-cell Parallelism knob:
-// the same cell with speculative planning workers produces a byte-identical
-// result to the serial build.
-func TestCellParallelismIsOutputInvariant(t *testing.T) {
-	serial := RunCell(testCell(pcn.SchemeSplicer, 3, 1))
-	par := testCell(pcn.SchemeSplicer, 3, 1)
-	par.Parallelism = 4
-	parallel := RunCell(par)
-	if serial.Err != nil || parallel.Err != nil {
-		t.Fatalf("cell errors: %v / %v", serial.Err, parallel.Err)
+// spyPolicy is a registered policy that also records the network it was set
+// up on.
+type spyPolicy struct {
+	pcn.SchemePolicy
+	net **pcn.Network
+}
+
+func (p spyPolicy) Setup(n *pcn.Network) error {
+	*p.net = n
+	return p.SchemePolicy.Setup(n)
+}
+
+func (p spyPolicy) PrefetchRoutes(n *pcn.Network, tx workload.Tx) {
+	p.SchemePolicy.(pcn.RoutePrefetcher).PrefetchRoutes(n, tx)
+}
+
+// newPolicy returns a fresh instance of a registered policy, which is
+// reachable only through a network built with it.
+func newPolicy(t *testing.T, scheme pcn.Scheme) pcn.SchemePolicy {
+	t.Helper()
+	g, err := topology.Star(4, topology.UniformCapacity(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fmt.Sprintf("%+v", serial.Result) != fmt.Sprintf("%+v", parallel.Result) {
-		t.Fatalf("parallel cell diverged:\nserial:   %+v\nparallel: %+v", serial.Result, parallel.Result)
+	n, err := pcn.NewNetwork(g, pcn.NewConfig(scheme))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n.Policy()
+}
+
+// TestRunBudgetsPlanningWorkers pins the one rule that splits the cores
+// between sweep workers and each cell's route-planning workers: W sweep
+// workers leave a cell max(1, GOMAXPROCS/W) planners. On two cores a
+// two-worker sweep therefore runs every cell on the serial path, a
+// one-worker sweep (or one too short to fill its workers) arms each cell's
+// pool at width 2, a cell that pins its own width keeps it, a hub-labels
+// cell never arms — and the results are the same bytes throughout.
+func TestRunBudgetsPlanningWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+
+	// probe is a Build cell whose policy hands back the network the sweep
+	// built for it, so the test reads the pool width that network got.
+	probe := func(net **pcn.Network, mutate func(*pcn.Config)) Cell {
+		c := testCell(pcn.SchemeSpider, 3, 1)
+		build, policy := c.Build, newPolicy(t, pcn.SchemeSpider)
+		c.Build = func() (*graph.Graph, []workload.Tx, pcn.Config, error) {
+			g, trace, cfg, err := build()
+			cfg.Policy = spyPolicy{policy, net}
+			if mutate != nil {
+				mutate(&cfg)
+			}
+			return g, trace, cfg, err
+		}
+		return c
+	}
+	hubLabels := func(cfg *pcn.Config) { cfg.RoutingOverride = pcn.RoutingHubLabels }
+	pinned := func(cfg *pcn.Config) { cfg.Parallelism = 3 }
+
+	for _, tc := range []struct {
+		name          string
+		cells, sweepW int
+		mutate        func(*pcn.Config)
+		want          int
+	}{
+		{"two workers fill two cores", 3, 2, nil, 0},
+		{"all cores", 3, 0, nil, 0},
+		{"one worker leaves a core spare", 3, 1, nil, 2},
+		{"one cell cannot occupy two workers", 1, 2, nil, 2},
+		{"hub-labels, serial sweep", 2, 1, hubLabels, 0},
+		{"hub-labels, full sweep", 2, 2, hubLabels, 0},
+		{"cell pins its own width", 2, 2, pinned, 3},
+	} {
+		nets := make([]*pcn.Network, tc.cells)
+		cells := make([]Cell, tc.cells)
+		for i := range cells {
+			cells[i] = probe(&nets[i], tc.mutate)
+		}
+		results := Run(cells, tc.sweepW)
+		if err := FirstErr(results); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i, n := range nets {
+			if got := n.SpeculationStats().Workers; got != tc.want {
+				t.Errorf("%s: cell %d planned on %d workers, want %d", tc.name, i, got, tc.want)
+			}
+		}
+	}
+
+	// No width moves a byte.
+	serial := Run([]Cell{testCell(pcn.SchemeSplicer, 3, 1), testCell(pcn.SchemeSplicer, 4, 1)}, 2)
+	pooled := Run([]Cell{testCell(pcn.SchemeSplicer, 3, 1), testCell(pcn.SchemeSplicer, 4, 1)}, 1)
+	lone := RunCell(testCell(pcn.SchemeSplicer, 3, 1))
+	if err := FirstErr(append(append(serial, pooled...), lone)); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := renderResults(serial), renderResults(pooled); a != b {
+		t.Fatalf("planning width changed a sweep's results:\nserial: %s\npooled: %s", a, b)
+	}
+	if a, b := fmt.Sprintf("%+v", serial[0].Result), fmt.Sprintf("%+v", lone.Result); a != b {
+		t.Fatalf("a lone cell diverged from its sweep twin:\nsweep: %s\nlone:  %s", a, b)
 	}
 }
