@@ -410,12 +410,12 @@ func figscale100kBench(short bool) func(b *testing.B) {
 	return figscale100k(short, 0)
 }
 
-// figscale100kParallelBench is the honest negative control for the scaling
-// pair: the 100k cell requests 4 planning workers, but its hub-labels
-// routing override keeps the pool disarmed (lazy label-tree builds mutate
-// shared state and feed counters into the Result). The tracked ratio
-// against figscale_100k is therefore ~1x by design, recorded so the report
-// distinguishes "gated off" from "failed to scale".
+// figscale100kParallelBench is the scaling pair's pooled side: the 100k
+// cell requests 4 planning workers, and under its hub-labels routing
+// override Splicer's pool arms for the label-free part of each route — the
+// hub-to-hub transit legs — while the label-served access legs stay on the
+// committer. The tracked ratio against figscale_100k is that part's share
+// of the cell, read against the report's num_cpu.
 func figscale100kParallelBench(short bool) func(b *testing.B) {
 	return figscale100k(short, 4)
 }

@@ -58,6 +58,20 @@ type LabelStats struct {
 	Fallbacks uint64
 }
 
+// Plus returns the field-wise sum of s and o: the counters of a tier that
+// replaced another, carried over its predecessor's.
+func (s LabelStats) Plus(o LabelStats) LabelStats {
+	return LabelStats{
+		Builds:        s.Builds + o.Builds,
+		Repairs:       s.Repairs + o.Repairs,
+		StaleMarks:    s.StaleMarks + o.StaleMarks,
+		NoopMutations: s.NoopMutations + o.NoopMutations,
+		Resyncs:       s.Resyncs + o.Resyncs,
+		Served:        s.Served + o.Served,
+		Fallbacks:     s.Fallbacks + o.Fallbacks,
+	}
+}
+
 // hubTree is one hub's canonical unit shortest-path tree. dist is −1 for
 // unreachable nodes; prevNode/prevEdge are −1 at the root.
 type hubTree struct {

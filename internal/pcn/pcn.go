@@ -168,8 +168,9 @@ type Config struct {
 	// Parallelism is the number of route-planning workers inside this run
 	// (see speculate.go): 0, the default, means the cores this process may
 	// use (GOMAXPROCS); 1 runs serially; n >= 2 asks for n workers. A width
-	// of 2 or more arms the pool only when the policy can prefetch and
-	// routing is exact. A sweep running several cells at once hands each
+	// of 2 or more arms the pool only when the policy can prefetch, and
+	// under hub-label routing only when its prefetch stays off the label
+	// tier (Splicer, Spider). A sweep running several cells at once hands each
 	// cell its share of the cores here (sweep.Run). The committed event
 	// stream and every output are byte-identical at any width — this only
 	// moves wall-clock.
@@ -289,11 +290,14 @@ type Network struct {
 	// RoutingHubLabels): labels serves hub-rooted unit queries from per-hub
 	// trees. labelSeeds holds policy-registered roots beyond the hub set
 	// (Landmark's landmarks); labelGen/rootGen detect root-set changes so
-	// SetHubs or a re-placement rebuilds the tier lazily.
-	labels     *graph.HubLabels
-	labelSeeds []graph.NodeID
-	rootGen    uint64
-	labelGen   uint64
+	// SetHubs or a re-placement rebuilds the tier lazily. retiredLabels sums
+	// the counters of the tiers those rebuilds replaced, so Result.Label*
+	// cover the whole run, not the last placement interval.
+	labels        *graph.HubLabels
+	labelSeeds    []graph.NodeID
+	rootGen       uint64
+	labelGen      uint64
+	retiredLabels graph.LabelStats
 
 	// Epoch-snapshot store for concurrent readers (see snapshot.go). nil in
 	// batch mode; attached by EnableSnapshots. snapRootGen tracks the rootGen
@@ -675,10 +679,10 @@ func (n *Network) HubLabels() *graph.HubLabels {
 		return nil
 	}
 	if n.labels == nil || n.labelGen != n.rootGen {
-		roots := make([]graph.NodeID, 0, len(n.hubs)+len(n.labelSeeds))
-		roots = append(roots, n.hubs...)
-		roots = append(roots, n.labelSeeds...)
-		n.labels = graph.NewHubLabels(n.g, n.PathFinder(), roots)
+		if n.labels != nil {
+			n.retiredLabels = n.retiredLabels.Plus(n.labels.Stats())
+		}
+		n.labels = graph.NewHubLabels(n.g, n.PathFinder(), n.labelRoots())
 		n.labelGen = n.rootGen
 	}
 	return n.labels
@@ -971,7 +975,7 @@ func (n *Network) summarize() Result {
 	n.metrics.AddHandle(n.mh.routeCacheMisses, float64(r.RouteCacheMisses)-n.metrics.Counter("route_cache_misses"))
 	n.metrics.AddHandle(n.mh.routeCacheInvalidations, float64(r.RouteCacheInvalidations)-n.metrics.Counter("route_cache_invalidations"))
 	if n.labels != nil {
-		st := n.labels.Stats()
+		st := n.retiredLabels.Plus(n.labels.Stats())
 		r.LabelServed = int(st.Served)
 		r.LabelFallbacks = int(st.Fallbacks)
 		r.LabelBuilds = int(st.Builds)

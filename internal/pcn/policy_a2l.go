@@ -86,5 +86,8 @@ func (a2lPolicy) Plan(n *Network, tx workload.Tx) ([]graph.Path, []Allocation, e
 
 // PrefetchRoutes: the whole Plan is a pure function of the routed topology
 // (static capacities, hub assignments, config, endpoints), so a planning
-// worker runs it for the route computations alone.
+// worker runs it for the route computations alone. Both legs are label
+// queries under hub-label routing, so the pool stays off there.
 func (p a2lPolicy) PrefetchRoutes(n *Network, tx workload.Tx) { _, _, _ = p.Plan(n, tx) }
+
+func (a2lPolicy) PrefetchesLabelFree() bool { return false }

@@ -95,3 +95,7 @@ func (p *flashPolicy) PrefetchRoutes(n *Network, tx workload.Tx) {
 		_, _ = micePaths(n, tx)
 	}
 }
+
+// PrefetchesLabelFree: the mice search is a label query under hub-label
+// routing (the tier seeds Yen's first path), so the pool stays off there.
+func (*flashPolicy) PrefetchesLabelFree() bool { return false }

@@ -30,5 +30,8 @@ func (shortestPathPolicy) Plan(n *Network, tx workload.Tx) ([]graph.Path, []Allo
 
 // PrefetchRoutes: the whole Plan is a pure function of the routed topology
 // (static capacities, hub assignments, config, endpoints), so a planning
-// worker runs it for the route computations alone.
+// worker runs it for the route computations alone. The one search is a
+// label query under hub-label routing, so the pool stays off there.
 func (p shortestPathPolicy) PrefetchRoutes(n *Network, tx workload.Tx) { _, _, _ = p.Plan(n, tx) }
+
+func (shortestPathPolicy) PrefetchesLabelFree() bool { return false }

@@ -35,5 +35,8 @@ func (spiderPolicy) Plan(n *Network, tx workload.Tx) ([]graph.Path, []Allocation
 
 // PrefetchRoutes: the whole Plan is a pure function of the routed topology
 // (static capacities, hub assignments, config, endpoints), so a planning
-// worker runs it for the route computations alone.
+// worker runs it for the route computations alone. Its widest-path search
+// never reaches the label tier, so this holds under hub-label routing too.
 func (p spiderPolicy) PrefetchRoutes(n *Network, tx workload.Tx) { _, _, _ = p.Plan(n, tx) }
+
+func (spiderPolicy) PrefetchesLabelFree() bool { return true }

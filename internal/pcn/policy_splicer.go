@@ -61,23 +61,15 @@ func (splicerPolicy) Plan(n *Network, tx workload.Tx) ([]graph.Path, []Allocatio
 			// between its endpoints.
 			return routing.SelectPathsWith(n.PathFinder(), tx.Sender, tx.Recipient, cfg.NumPaths, cfg.PathType)
 		}
-		// The hub-to-hub transit segment is shared by every client pair
-		// managed by (hubS, hubR) — including payments between the hubs
-		// themselves — so it is cached once under its own key.
-		transit := func() ([]graph.Path, error) {
-			return n.planRoutes(RouteKey{Src: hubS, Dst: hubR, Type: cfg.PathType, K: cfg.NumPaths}, func() ([]graph.Path, error) {
-				return routing.SelectPathsWith(n.PathFinder(), hubS, hubR, cfg.NumPaths, cfg.PathType)
-			})
-		}
 		if hubS == tx.Sender && hubR == tx.Recipient {
-			return transit()
+			return transitRoutes(n, hubS, hubR)
 		}
 		prefix, okP := n.accessPath(tx.Sender, hubS)
 		suffix, okS := n.accessPath(hubR, tx.Recipient)
 		if !okP || !okS {
 			return nil, nil
 		}
-		middles, err := transit()
+		middles, err := transitRoutes(n, hubS, hubR)
 		if err != nil {
 			return nil, err
 		}
@@ -100,7 +92,31 @@ func (splicerPolicy) Plan(n *Network, tx workload.Tx) ([]graph.Path, []Allocatio
 	return paths, allocs, nil
 }
 
+// transitRoutes returns the k hub-to-hub paths of the configured path type.
+// The transit segment is shared by every client pair managed by
+// (hubS, hubR) — including payments between the hubs themselves — so it is
+// cached once under its own key. It never consults the label tier.
+func transitRoutes(n *Network, hubS, hubR graph.NodeID) ([]graph.Path, error) {
+	k, pt := n.cfg.NumPaths, n.cfg.PathType
+	return n.planRoutes(RouteKey{Src: hubS, Dst: hubR, Type: pt, K: k}, func() ([]graph.Path, error) {
+		return routing.SelectPathsWith(n.PathFinder(), hubS, hubR, k, pt)
+	})
+}
+
 // PrefetchRoutes: the whole Plan is a pure function of the routed topology
-// (static capacities, hub assignments, config, endpoints), so a planning
-// worker runs it for the route computations alone.
-func (p splicerPolicy) PrefetchRoutes(n *Network, tx workload.Tx) { _, _, _ = p.Plan(n, tx) }
+// (static capacities, hub assignments, config, endpoints), so under exact
+// routing a planning worker runs it for the route computations alone. Under
+// hub-label routing the access legs are label queries, so a worker runs
+// only what needs none: the whole composed key when the pair shares a hub
+// or both endpoints are hubs, the transit key otherwise. The committer then
+// computes the access legs and finds the transit waiting in the memo.
+func (p splicerPolicy) PrefetchRoutes(n *Network, tx workload.Tx) {
+	hubS, hubR := n.managingHub(tx.Sender), n.managingHub(tx.Recipient)
+	if n.cfg.RoutingOverride == RoutingHubLabels && hubS != hubR && (hubS != tx.Sender || hubR != tx.Recipient) {
+		_, _ = transitRoutes(n, hubS, hubR)
+		return
+	}
+	_, _, _ = p.Plan(n, tx)
+}
+
+func (splicerPolicy) PrefetchesLabelFree() bool { return true }

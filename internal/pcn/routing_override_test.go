@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"github.com/splicer-pcn/splicer/internal/graph"
 )
 
 // TestRoutingOverrideEquivalence pins the RoutingOverride contract: the
@@ -57,6 +59,42 @@ func TestRoutingOverrideEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(exact, labeled) {
 			t.Fatalf("%v: results diverge under hub-label routing:\nexact   %+v\nlabeled %+v", scheme, exact, labeled)
 		}
+	}
+}
+
+// TestLabelCountersSurviveRePlacement pins that a re-placement, which
+// rebuilds the label tier for the new root set, does not reset the tier's
+// counters: Result.Label* count the whole run, not the last placement
+// interval.
+func TestLabelCountersSurviveRePlacement(t *testing.T) {
+	g, _ := testGraphAndTrace(t, 7, 60, 10, 1)
+	cfg := NewConfig(SchemeSplicer)
+	cfg.RoutingOverride = RoutingHubLabels
+	cfg.Parallelism = 1
+	n, err := NewNetwork(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func() {
+		hub := n.hubs[0]
+		for v := range n.g.NumNodes() {
+			if dst := graph.NodeID(v); !n.isHub[dst] {
+				n.unitShortestPath(hub, dst)
+				return
+			}
+		}
+	}
+	for range 5 {
+		query()
+	}
+	if err := n.RePlaceHubs(); err != nil {
+		t.Fatal(err)
+	}
+	query()
+	res := n.summarize()
+	if res.LabelServed != 6 || res.LabelFallbacks != 0 || res.LabelBuilds != 2 {
+		t.Fatalf("six hub-rooted queries over two placements, one tree each: served %d, fallbacks %d, builds %d",
+			res.LabelServed, res.LabelFallbacks, res.LabelBuilds)
 	}
 }
 

@@ -23,7 +23,9 @@ import (
 // through Network.InvalidateRoutes. For Flash the same holds of the mice
 // path set, which is most of its planning time. That purity is what makes
 // speculation sound, and a policy opts into it by implementing
-// RoutePrefetcher.
+// RoutePrefetcher. Under hub-label routing the same holds of every
+// computation that stays off the label tier: Splicer's transit legs and
+// Spider's whole plans.
 //
 // Shape: when a run is armed (planningWorkers > 0), every payment handed to
 // ScheduleArrival is also queued for a pool of planning workers that lives
@@ -71,22 +73,29 @@ import (
 // network state, and that Plan reads the same keys through n.planRoutes,
 // never through Routes() directly. Landmark does not qualify: its plans
 // build and repair the policy-owned tail trees lazily.
+//
+// Under RoutingHubLabels a prefetch must also never reach n.HubLabels() or
+// the unit helpers routed through it (accessPath, unitShortestPath and
+// kin): the tier builds its trees lazily per query, and its counters flow
+// into the Result. PrefetchesLabelFree states whether PrefetchRoutes keeps
+// that promise; the pool arms under hub-label routing only for policies
+// that say so. Splicer does, by prefetching only the keys that need no
+// access leg there (see splicerPolicy.PrefetchRoutes); Spider's Plan never
+// touches the tier; ShortestPath, A2L and Flash's mice run through it and
+// say no.
 type RoutePrefetcher interface {
 	PrefetchRoutes(n *Network, tx workload.Tx)
+	PrefetchesLabelFree() bool
 }
 
 // planningWorkers resolves how many planning workers a run gets: none
-// unless the policy can prefetch and routing is exact, else
-// Config.Parallelism with 0 read as the cores this process may use. One
-// worker would only move the serial work to another goroutine, so it
+// unless the policy can prefetch — label-free, under hub-label routing —
+// else Config.Parallelism with 0 read as the cores this process may use.
+// One worker would only move the serial work to another goroutine, so it
 // counts as none.
-//
-// Hub-label routing is excluded: the label tier's Served/Fallback/Builds
-// counters flow into the Result (and panel CSVs), and its lazy per-hub tree
-// builds mutate shared state per query — both would diverge under
-// concurrent planning.
 func planningWorkers(cfg Config, policy SchemePolicy) int {
-	if _, ok := policy.(RoutePrefetcher); !ok || cfg.RoutingOverride != RoutingExact {
+	p, ok := policy.(RoutePrefetcher)
+	if !ok || cfg.RoutingOverride == RoutingHubLabels && !p.PrefetchesLabelFree() {
 		return 0
 	}
 	w := cfg.Parallelism
@@ -309,13 +318,16 @@ type specWorkerCtx struct {
 // owns its PathFinder (Dijkstra scratch is the one per-query mutable state
 // Plan needs), built by Network.PathFinder at the worker's first query so a
 // pool that is never fed costs two parked goroutines and nothing else.
-// Speculation is exact-routing-only, so the copied label-tier pointers are
-// never consulted (HubLabels() returns nil).
+// Prefetches never consult the label tier (see RoutePrefetcher); the shadow
+// drops the live tier all the same, so a prefetch that broke the promise
+// would count its label queries on a private tier — a Label* mismatch with
+// the serial run — rather than race the committer on the live one.
 func (sp *specSession) newWorker() *specWorker {
 	w := &specWorker{sess: sp}
 	w.ctx.sess = sp
 	shadow := *sp.n
 	shadow.pathFinder = nil
+	shadow.labels = nil
 	shadow.spec = nil
 	shadow.specCtx = &w.ctx
 	w.shadow = &shadow

@@ -11,20 +11,23 @@ import (
 )
 
 // runWithParallelism runs one scheme over the shared test graph/trace with
-// the given planning-worker count and returns the full Result.
-func runWithParallelism(t *testing.T, scheme Scheme, workers int) Result {
+// the given routing backend and planning-worker count and returns the full
+// Result.
+func runWithParallelism(t *testing.T, scheme Scheme, routing RoutingOverride, workers int) Result {
 	t.Helper()
 	g, trace := testGraphAndTrace(t, 7, 80, 60, 4)
 	cfg := NewConfig(scheme)
+	cfg.RoutingOverride = routing
 	cfg.Parallelism = workers
 	return runPlanned(t, g, trace, cfg)
 }
 
 // runPlanned runs cfg (an explicit Parallelism) over g and trace, and checks
 // what must hold of the planning pool whatever the scheduler did: it is
-// staffed exactly when the width is 2 or more and the policy prefetches, it
-// was fed every scheduled payment, and every route-cache miss was either
-// replayed from the memo or computed on the committer.
+// staffed exactly when the width is 2 or more and the policy prefetches
+// (label-free, under hub-label routing), it was fed every scheduled
+// payment, and every route-cache miss was either replayed from the memo or
+// computed on the committer.
 func runPlanned(t *testing.T, g *graph.Graph, trace []workload.Tx, cfg Config) Result {
 	t.Helper()
 	n, err := NewNetwork(g, cfg)
@@ -37,7 +40,8 @@ func runPlanned(t *testing.T, g *graph.Graph, trace []workload.Tx, cfg Config) R
 	}
 	scheme, st := res.Scheme, n.SpeculationStats()
 	want := cfg.Parallelism
-	if _, ok := n.Policy().(RoutePrefetcher); !ok || want < 2 {
+	p, ok := n.Policy().(RoutePrefetcher)
+	if !ok || want < 2 || cfg.RoutingOverride == RoutingHubLabels && !p.PrefetchesLabelFree() {
 		want = 0
 	}
 	if st.Workers != want {
@@ -71,16 +75,18 @@ func resultsEqual(a, b Result) bool {
 // check: every scheme — the four whose whole Plan prefetches, Flash with its
 // mice paths, and Landmark (it owns lazily built tail trees), whose arming
 // request must gate off to a no-op — produces an equal Result (including
-// the RouteCacheHits/Misses arithmetic that flows into panel CSVs) with 2
-// and 4 planning workers as with the pool off. The scenario-level golden
-// conformance twin covers the full CSV pipeline; this one localizes a
-// divergence to a scheme quickly.
+// the RouteCacheHits/Misses and label-tier arithmetic that flows into panel
+// CSVs) with 2 and 4 planning workers as with the pool off, under both
+// routing backends. The scenario-level golden conformance twin covers the
+// full CSV pipeline; this one localizes a divergence to a scheme quickly.
 func TestSpeculativePlanningMatchesSerial(t *testing.T) {
-	for _, scheme := range []Scheme{SchemeSplicer, SchemeSpider, SchemeFlash, SchemeLandmark, SchemeA2L, SchemeShortestPath} {
-		serial := runWithParallelism(t, scheme, 1)
-		for _, width := range []int{2, 4} {
-			if parallel := runWithParallelism(t, scheme, width); !resultsEqual(serial, parallel) {
-				t.Errorf("%v: width-%d run diverged from serial\nserial:   %+v\nparallel: %+v", scheme, width, serial, parallel)
+	for _, routing := range []RoutingOverride{RoutingExact, RoutingHubLabels} {
+		for _, scheme := range []Scheme{SchemeSplicer, SchemeSpider, SchemeFlash, SchemeLandmark, SchemeA2L, SchemeShortestPath} {
+			serial := runWithParallelism(t, scheme, routing, 1)
+			for _, width := range []int{2, 4} {
+				if parallel := runWithParallelism(t, scheme, routing, width); !resultsEqual(serial, parallel) {
+					t.Errorf("%v, %v routing: width-%d run diverged from serial\nserial:   %+v\nparallel: %+v", scheme, routing, width, serial, parallel)
+				}
 			}
 		}
 	}
@@ -155,23 +161,110 @@ func TestSpeculationStatsOnLargeCells(t *testing.T) {
 	}
 }
 
-// TestSpeculationGatesOffUnderHubLabels pins the label-tier exclusion: the
-// tier's Served/Fallbacks/Builds counters flow into Result, so speculative
-// planning must never arm alongside RoutingHubLabels.
-func TestSpeculationGatesOffUnderHubLabels(t *testing.T) {
-	g, trace := testGraphAndTrace(t, 7, 80, 40, 3)
+// TestSpeculationArmsLabelFreePrefetchers pins which (policy, routing)
+// pairs get a planning pool. Under exact routing every prefetcher does.
+// Under hub-label routing only the policies whose prefetch stays off the
+// label tier do — Splicer (transit legs) and Spider (whole plans) — since
+// the tier builds its trees lazily and its counters flow into Result.
+// ShortestPath's and A2L's searches and Flash's mice are label queries
+// there; Landmark never prefetches.
+func TestSpeculationArmsLabelFreePrefetchers(t *testing.T) {
+	g, _ := testGraphAndTrace(t, 7, 40, 10, 1)
+	const width = 3
+	for _, tc := range []struct {
+		scheme        Scheme
+		exact, labels int
+	}{
+		{SchemeSplicer, width, width},
+		{SchemeSpider, width, width},
+		{SchemeShortestPath, width, 0},
+		{SchemeA2L, width, 0},
+		{SchemeFlash, width, 0},
+		{SchemeLandmark, 0, 0},
+	} {
+		for _, routing := range []RoutingOverride{RoutingExact, RoutingHubLabels} {
+			cfg := NewConfig(tc.scheme)
+			cfg.RoutingOverride = routing
+			cfg.Parallelism = width
+			n, err := NewNetwork(g.Clone(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := tc.exact
+			if routing == RoutingHubLabels {
+				want = tc.labels
+			}
+			if got := n.SpeculationStats().Workers; got != want {
+				t.Errorf("%v, %v routing: %d planning workers, want %d", tc.scheme, routing, got, want)
+			}
+		}
+	}
+}
+
+// TestSplicerPrefetchesLabelFreeKeysOnly pins Splicer's side of the
+// prefetch contract under hub-label routing. For clients of two different
+// hubs a worker warms the transit key alone: the access legs are label
+// queries, left to the committer. For clients of one hub, and for a
+// payment between two hubs, no access leg exists, so it warms the whole
+// composed key (the latter with its transit child). In no case does it
+// reach the label tier or the live route-cache counters.
+func TestSplicerPrefetchesLabelFreeKeysOnly(t *testing.T) {
+	g, _ := testGraphAndTrace(t, 7, 80, 10, 1)
 	cfg := NewConfig(SchemeSplicer)
 	cfg.RoutingOverride = RoutingHubLabels
-	cfg.Parallelism = 4
+	cfg.Parallelism = 2
 	n, err := NewNetwork(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Run(trace); err != nil {
-		t.Fatal(err)
+	clientsOf := map[graph.NodeID][]graph.NodeID{}
+	for v := range n.g.NumNodes() {
+		if c := graph.NodeID(v); !n.isHub[c] {
+			clientsOf[n.hubOf[c]] = append(clientsOf[n.hubOf[c]], c)
+		}
 	}
-	if st := n.SpeculationStats(); st.Workers != 0 {
-		t.Fatalf("speculation armed under hub-label routing: %+v", st)
+	var hubA, hubB graph.NodeID = -1, -1
+	for _, h := range n.hubs {
+		if len(clientsOf[h]) >= 2 && hubA < 0 {
+			hubA = h
+		} else if len(clientsOf[h]) >= 1 && hubB < 0 {
+			hubB = h
+		}
+	}
+	if hubA < 0 || hubB < 0 {
+		t.Fatalf("placement gave no two hubs with clients to route between: %v", n.hubs)
+	}
+	a1, a2, b := clientsOf[hubA][0], clientsOf[hubA][1], clientsOf[hubB][0]
+	transit := RouteKey{Src: hubA, Dst: hubB, Type: cfg.PathType, K: cfg.NumPaths}
+	composed := func(s, r graph.NodeID) RouteKey {
+		return RouteKey{Src: s, Dst: r, Type: ComposedRoutes, K: cfg.NumPaths}
+	}
+	w := n.spec.newWorker()
+	for _, tc := range []struct {
+		name string
+		s, r graph.NodeID
+		want []RouteKey
+	}{
+		{"clients of two hubs", a1, b, []RouteKey{transit}},
+		{"clients of one hub", a1, a2, []RouteKey{composed(a1, a2)}},
+		{"hub to hub", hubA, hubB, []RouteKey{composed(hubA, hubB), transit}},
+	} {
+		n.spec.invalidate()
+		w.plan(workload.Tx{ID: 1, Sender: tc.s, Recipient: tc.r, Value: 1})
+		if len(n.spec.entries) != len(tc.want) {
+			t.Errorf("%s: prefetched %d keys %v, want %v", tc.name, len(n.spec.entries), n.spec.entries, tc.want)
+		}
+		for _, k := range tc.want {
+			if e := n.spec.entries[k]; e == nil || e.err != nil || len(e.paths) == 0 {
+				t.Errorf("%s: no usable entry under %+v: %+v", tc.name, k, e)
+			}
+		}
+	}
+	if n.labels != nil || w.shadow.labels != nil {
+		t.Fatal("a prefetch reached the label tier")
+	}
+	if n.Routes().Hits()+n.Routes().Misses() != 0 {
+		t.Fatal("prefetching moved the live route-cache counters")
 	}
 }
 

@@ -176,14 +176,19 @@ func (s Spec) runScheme(scheme pcn.Scheme, planners int) (pcn.Result, error) {
 }
 
 // runConfig is RunScheme past the point where the pcn.Config is fixed: it
-// builds the network over st's topology and drives the static, attacked or
-// dynamic run path the spec selects.
+// builds the network over st's topology and runs it.
 func (s Spec) runConfig(st *buildState, cfg pcn.Config) (pcn.Result, error) {
+	net, err := pcn.NewNetwork(st.g, cfg)
+	if err != nil {
+		return pcn.Result{}, err
+	}
+	return s.runNetwork(st, net)
+}
+
+// runNetwork drives the static, attacked or dynamic run path the spec
+// selects over a network built on st's topology, and checks conservation.
+func (s Spec) runNetwork(st *buildState, net *pcn.Network) (pcn.Result, error) {
 	if s.Dynamics != nil {
-		net, err := pcn.NewNetwork(st.g, cfg)
-		if err != nil {
-			return pcn.Result{}, err
-		}
 		d, err := dynamics.NewDriver(net, st.src.Split(4), s.dynConfig())
 		if err != nil {
 			return pcn.Result{}, err
@@ -206,10 +211,6 @@ func (s Spec) runConfig(st *buildState, cfg pcn.Config) (pcn.Result, error) {
 		return res, net.CheckConservation()
 	}
 	trace, err := st.trace()
-	if err != nil {
-		return pcn.Result{}, err
-	}
-	net, err := pcn.NewNetwork(st.g, cfg)
 	if err != nil {
 		return pcn.Result{}, err
 	}

@@ -26,11 +26,27 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden CSV fixture
 // The retry-* entries pin the retry-resilience panel: the unarmed columns
 // double as a second witness that arming the spec's retry block does not
 // move any retry-off cell (the Split(6)-last contract), and the armed
-// columns pin the recovered TSR per scheme. The remaining registry entries
-// run through the same runners, so they are pinned transitively.
+// columns pin the recovered TSR per scheme. ln-mainnet pins the hub-label
+// tier on the mainnet-size snapshot, trimmed (see trimmedGolden). The
+// remaining registry entries run through the same runners, so they are
+// pinned transitively.
 var goldenEntries = []string{
 	"fig7c", "figchurn", "table2",
 	"retry-jamming", "retry-flash-crowd", "retry-hub-outage",
+	"ln-mainnet",
+}
+
+// trimmedGolden cuts entries too costly to run whole in the suite down to a
+// pinnable size; their fixtures hold the trimmed entry's table. ln-mainnet
+// keeps the scheme whose transit legs plan on the pool under hub-label
+// routing, the one whose whole plans do, and one the pool never arms for
+// there, over a thin workload.
+var trimmedGolden = map[string]func(*Entry){
+	"ln-mainnet": func(e *Entry) {
+		e.Schemes = []string{"Splicer", "Spider", "ShortestPath"}
+		e.Base.Workload.Rate = 40
+		e.Base.Workload.Duration = 2
+	},
 }
 
 func goldenPath(name string) string {
@@ -68,9 +84,13 @@ func runGoldenConformance(t *testing.T, parallel bool) {
 			if testing.Short() && name == "table2" {
 				t.Skip("table2 regenerates the full 3000-node study (~20s); run without -short")
 			}
-			entry, ok := Lookup(name)
+			reg, ok := Lookup(name)
 			if !ok {
 				t.Fatalf("registry entry %q missing", name)
+			}
+			entry := *reg
+			if trim := trimmedGolden[name]; trim != nil {
+				trim(&entry)
 			}
 			table, err := entry.Run(RunOptions{Workers: -1})
 			if err != nil {

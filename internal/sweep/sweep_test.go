@@ -239,6 +239,10 @@ func (p spyPolicy) PrefetchRoutes(n *pcn.Network, tx workload.Tx) {
 	p.SchemePolicy.(pcn.RoutePrefetcher).PrefetchRoutes(n, tx)
 }
 
+func (p spyPolicy) PrefetchesLabelFree() bool {
+	return p.SchemePolicy.(pcn.RoutePrefetcher).PrefetchesLabelFree()
+}
+
 // newPolicy returns a fresh instance of a registered policy, which is
 // reachable only through a network built with it.
 func newPolicy(t *testing.T, scheme pcn.Scheme) pcn.SchemePolicy {
@@ -260,7 +264,8 @@ func newPolicy(t *testing.T, scheme pcn.Scheme) pcn.SchemePolicy {
 // two-worker sweep therefore runs every cell on the serial path, a
 // one-worker sweep (or one too short to fill its workers) arms each cell's
 // pool at width 2, a cell that pins its own width keeps it, a hub-labels
-// cell never arms — and the results are the same bytes throughout.
+// cell follows the same budget (the probe is Spider, whose plans never
+// touch the label tier) — and the results are the same bytes throughout.
 func TestRunBudgetsPlanningWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 
@@ -292,7 +297,7 @@ func TestRunBudgetsPlanningWorkers(t *testing.T) {
 		{"all cores", 3, 0, nil, 0},
 		{"one worker leaves a core spare", 3, 1, nil, 2},
 		{"one cell cannot occupy two workers", 1, 2, nil, 2},
-		{"hub-labels, serial sweep", 2, 1, hubLabels, 0},
+		{"hub-labels, serial sweep", 2, 1, hubLabels, 2},
 		{"hub-labels, full sweep", 2, 2, hubLabels, 0},
 		{"cell pins its own width", 2, 2, pinned, 3},
 	} {
