@@ -103,13 +103,7 @@ func (r *Runtime) RunPlacement(inst *placement.Instance, accounts map[graph.Node
 	if r.phase != PhaseCandidates {
 		return fmt.Errorf("contract: placement in phase %v", r.phase)
 	}
-	var plan placement.Plan
-	var err error
-	if len(inst.Candidates) <= 16 {
-		plan, err = inst.SolveExhaustive()
-	} else {
-		plan, err = inst.SolveDoubleGreedy(nil)
-	}
+	plan, err := inst.Solve()
 	if err != nil {
 		return fmt.Errorf("contract: placement solve: %w", err)
 	}

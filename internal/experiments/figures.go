@@ -64,7 +64,7 @@ func FigScale(base Scenario) ([]Series, error) {
 // FigBalanceCost is Fig. 9(a): average balance cost vs ω, model
 // (approximation) vs optimal.
 func FigBalanceCost(base Scenario) ([]Series, error) {
-	return scenario.BalanceCostSeries(base.Spec(), OmegaSweep)
+	return scenario.BalanceCostSeries(base.Spec(), OmegaSweep, base.runOptions())
 }
 
 // TradeoffPoint is one annotated point of Fig. 9(b).
@@ -73,13 +73,13 @@ type TradeoffPoint = scenario.TradeoffPoint
 // FigCostTradeoff is Fig. 9(b): the management-vs-synchronization cost
 // curve, annotated with (ω, number of smooth nodes).
 func FigCostTradeoff(base Scenario) ([]TradeoffPoint, error) {
-	return scenario.CostTradeoff(base.Spec(), OmegaSweep)
+	return scenario.CostTradeoff(base.Spec(), OmegaSweep, base.runOptions())
 }
 
 // FigHubCount is Fig. 9(c) (small) / 9(d) (large): the number of smooth
 // nodes placed for each weight ω.
 func FigHubCount(base Scenario) (Series, error) {
-	return scenario.HubCount(base.Spec(), OmegaSweep)
+	return scenario.HubCount(base.Spec(), OmegaSweep, base.runOptions())
 }
 
 // DelayOverheadPoint is one point of Fig. 9(e/f): average transaction delay
@@ -90,7 +90,7 @@ type DelayOverheadPoint = scenario.DelayOverheadPoint
 // communication overhead under the placement plan, against the
 // source-routing reference without PCHs.
 func FigDelayOverhead(base Scenario) ([]DelayOverheadPoint, error) {
-	return scenario.DelayOverhead(base.Spec(), OmegaSweep)
+	return scenario.DelayOverhead(base.Spec(), OmegaSweep, base.runOptions())
 }
 
 // DelayOverheadTable renders Fig. 9(e/f) points.

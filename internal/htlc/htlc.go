@@ -60,12 +60,14 @@ func LockHash(preimage [32]byte) [32]byte {
 	return sha256.Sum256(preimage[:])
 }
 
-// Offer creates a pending contract for the given amount, expiring at expiry.
-func Offer(hash [32]byte, amount, expiry float64) (*Contract, error) {
+// NewContract offers a pending contract for the given amount, expiring at
+// expiry. It returns the contract by value so a payment can hold its per-hop
+// contracts in one slice.
+func NewContract(hash [32]byte, amount, expiry float64) (Contract, error) {
 	if amount <= 0 {
-		return nil, fmt.Errorf("htlc: amount must be positive, got %v", amount)
+		return Contract{}, fmt.Errorf("htlc: amount must be positive, got %v", amount)
 	}
-	return &Contract{Hash: hash, Amount: amount, Expiry: expiry, state: Pending}, nil
+	return Contract{Hash: hash, Amount: amount, Expiry: expiry, state: Pending}, nil
 }
 
 // State returns the current state.
@@ -112,7 +114,7 @@ func (c *Contract) ExpireIfDue(now float64) bool {
 // Expiries must decrease along the path (each upstream hop needs time to
 // claim after learning the preimage downstream).
 type Chain struct {
-	Hops []*Contract
+	Hops []Contract
 }
 
 // NewChain creates per-hop contracts for a payment of `amount` over
@@ -125,12 +127,12 @@ func NewChain(hash [32]byte, amount float64, hops int, finalExpiry, delta float6
 	if delta <= 0 {
 		return nil, fmt.Errorf("htlc: delta must be positive, got %v", delta)
 	}
-	ch := &Chain{Hops: make([]*Contract, hops)}
+	ch := &Chain{Hops: make([]Contract, hops)}
 	for i := 0; i < hops; i++ {
 		// Hop 0 is the sender's outgoing lock, the last hop pays the
 		// recipient; later hops expire sooner.
 		expiry := finalExpiry + float64(hops-1-i)*delta
-		c, err := Offer(hash, amount, expiry)
+		c, err := NewContract(hash, amount, expiry)
 		if err != nil {
 			return nil, err
 		}

@@ -7,17 +7,17 @@ import (
 
 func TestOfferValidation(t *testing.T) {
 	pre := NewPreimage(1)
-	if _, err := Offer(LockHash(pre), 0, 10); err == nil {
+	if _, err := NewContract(LockHash(pre), 0, 10); err == nil {
 		t.Fatal("expected error for zero amount")
 	}
-	if _, err := Offer(LockHash(pre), -5, 10); err == nil {
+	if _, err := NewContract(LockHash(pre), -5, 10); err == nil {
 		t.Fatal("expected error for negative amount")
 	}
 }
 
 func TestSettleHappyPath(t *testing.T) {
 	pre := NewPreimage(7)
-	c, err := Offer(LockHash(pre), 5, 10)
+	c, err := NewContract(LockHash(pre), 5, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestSettleHappyPath(t *testing.T) {
 }
 
 func TestSettleWrongPreimage(t *testing.T) {
-	c, err := Offer(LockHash(NewPreimage(1)), 5, 10)
+	c, err := NewContract(LockHash(NewPreimage(1)), 5, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestSettleWrongPreimage(t *testing.T) {
 
 func TestSettleAfterExpiry(t *testing.T) {
 	pre := NewPreimage(3)
-	c, err := Offer(LockHash(pre), 5, 10)
+	c, err := NewContract(LockHash(pre), 5, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSettleAfterExpiry(t *testing.T) {
 
 func TestDoubleSettleRejected(t *testing.T) {
 	pre := NewPreimage(4)
-	c, err := Offer(LockHash(pre), 5, 10)
+	c, err := NewContract(LockHash(pre), 5, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestDoubleSettleRejected(t *testing.T) {
 }
 
 func TestFail(t *testing.T) {
-	c, err := Offer(LockHash(NewPreimage(5)), 5, 10)
+	c, err := NewContract(LockHash(NewPreimage(5)), 5, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestFail(t *testing.T) {
 }
 
 func TestExpireIfDue(t *testing.T) {
-	c, err := Offer(LockHash(NewPreimage(6)), 5, 10)
+	c, err := NewContract(LockHash(NewPreimage(6)), 5, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ type tuRun struct {
 	path          graph.Path
 	value         float64
 	hop           int // next hop index to traverse
-	chain         []*htlc.Contract
+	chain         []htlc.Contract
 	lockedThrough int // number of hops currently locked
 	queued        *channel.QueuedTU
 	queuedAt      struct {
@@ -288,7 +288,10 @@ func (n *Network) lockAndHop(tu *tuRun, ch *channel.Channel, dir channel.Directi
 		return
 	}
 	n.touchChannel(ch.Edge) // the lock consumed processing-rate budget
-	contract, err := htlc.Offer(tu.hash, tu.value, tu.tx.tx.Deadline)
+	if tu.chain == nil {
+		tu.chain = make([]htlc.Contract, 0, len(tu.path.Edges))
+	}
+	contract, err := htlc.NewContract(tu.hash, tu.value, tu.tx.tx.Deadline)
 	if err != nil {
 		panic(err) // value > 0 by construction
 	}

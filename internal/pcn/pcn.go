@@ -530,8 +530,8 @@ func (n *Network) CapitalizeHubs() {
 }
 
 // placeHubs runs the placement pipeline: candidate list by excellence
-// (degree), then the double-greedy approximation (the exact MILP is
-// exercised by tests and cmd/placement on small instances).
+// (degree), then placement.Instance.Solve — exact on small candidate lists,
+// the double-greedy approximation above.
 //
 // Under dynamics the pipeline is re-run mid-simulation, so it restricts
 // itself to the nodes that can actually be placed over: departed nodes are
@@ -590,12 +590,7 @@ func (n *Network) placeHubs() ([]graph.NodeID, error) {
 	if err != nil {
 		return nil, err
 	}
-	var plan placement.Plan
-	if len(cands) <= 16 {
-		plan, err = inst.SolveExhaustive()
-	} else {
-		plan, err = inst.SolveDoubleGreedy(nil)
-	}
+	plan, err := inst.Solve()
 	if err != nil {
 		return nil, err
 	}

@@ -59,7 +59,10 @@ func TestRetryRecoversNoFunds(t *testing.T) {
 		t.Fatalf("unarmed run recorded %d retry attempts", res.RetryAttempts)
 	}
 
-	// Armed: the retry re-plans around the failed hop onto the detour.
+	// Armed: the retry re-plans around the failed hop onto the detour. The
+	// detour is longer than the first path, so the TU's contract chain,
+	// reset for the retry, outgrows the size it took at its first lock and
+	// must still settle every hop.
 	cfg := NewConfig(SchemeShortestPath)
 	cfg.Retry = reliability.NewConfig()
 	n, err = NewNetwork(detourGraph(t), cfg)

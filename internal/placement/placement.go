@@ -7,7 +7,8 @@
 // is minimized, where C_M is the client-management cost (eq. 3), C_S the
 // hub-synchronization cost (eq. 4) and ω the tradeoff weight.
 //
-// Three solvers are provided:
+// Three solvers are provided, and Solve picks between the first and the
+// last by instance size:
 //
 //   - SolveExhaustive — enumerates all non-empty candidate subsets; the
 //     ground-truth optimum for small instances.
@@ -17,8 +18,8 @@
 //     double-greedy 1/2-approximation applied to the submodular complement
 //     of the supermodular set function f(X) = C_B(x_X, y(x_X)) (Alg. 1).
 //
-// Lemma 1 (optimal assignment for a fixed placement) is implemented by
-// Assign, which all three solvers share.
+// Lemma 1 (optimal assignment for a fixed placement) is one allocation-free
+// pass that Assign, Evaluate and all three solvers share.
 package placement
 
 import (
@@ -96,13 +97,25 @@ func (in *Instance) Validate() error {
 // the paper's cost coefficients. Candidate-to-candidate and
 // client-to-candidate costs are proportional to shortest-path hop counts.
 func NewInstanceFromGraph(g *graph.Graph, clients, candidates []graph.NodeID, omega float64) (*Instance, error) {
+	return NewInstanceFromHops(CandidateHops(g, candidates), clients, candidates, omega)
+}
+
+// CandidateHops runs one BFS per candidate: hops[i][v] is the hop count from
+// candidates[i] to node v, -1 when v is unreachable. One such matrix covers
+// every cost matrix of an instance, for any ω.
+func CandidateHops(g *graph.Graph, candidates []graph.NodeID) [][]int {
+	hops := make([][]int, len(candidates))
+	for i, c := range candidates {
+		hops[i] = g.BFSHops(c)
+	}
+	return hops
+}
+
+// NewInstanceFromHops is NewInstanceFromGraph over a CandidateHops matrix
+// the caller already holds.
+func NewInstanceFromHops(hopsFrom [][]int, clients, candidates []graph.NodeID, omega float64) (*Instance, error) {
 	if len(clients) == 0 || len(candidates) == 0 {
 		return nil, fmt.Errorf("placement: need clients and candidates")
-	}
-	// One BFS per candidate covers both matrices.
-	hopsFrom := make([][]int, len(candidates))
-	for i, c := range candidates {
-		hopsFrom[i] = g.BFSHops(c)
 	}
 	inst := &Instance{
 		Clients:    append([]graph.NodeID(nil), clients...),
@@ -112,8 +125,10 @@ func NewInstanceFromGraph(g *graph.Graph, clients, candidates []graph.NodeID, om
 		SyncConst:  make([][]float64, len(candidates)),
 		Omega:      omega,
 	}
+	// One slab backs every management row.
+	mgmt := make([]float64, len(clients)*len(candidates))
 	for m, cl := range clients {
-		inst.Mgmt[m] = make([]float64, len(candidates))
+		inst.Mgmt[m] = mgmt[m*len(candidates) : (m+1)*len(candidates) : (m+1)*len(candidates)]
 		for n := range candidates {
 			h := hopsFrom[n][cl]
 			if h < 0 {
@@ -173,85 +188,128 @@ func (p Plan) PlacedCandidates() []int {
 	return out
 }
 
+// evaluator is the one Lemma-1 cost pass behind Assign, Evaluate and both
+// solvers. Its scratch is sized once per instance and reused for every
+// placement it scores, so probing a subset allocates nothing. The pass visits
+// only placed candidates, in ascending index order, and keeps the summation
+// order (and the exact expressions) of the textbook loops over all
+// candidates, so every sum, tie and total is bit-for-bit what they compute.
+type evaluator struct {
+	in *Instance
+	// placed lists the placed candidate indices in ascending order; burden[k]
+	// is Σ_{l placed} δ_{placed[k],l} and managed[k] the clients assigned to
+	// placed[k].
+	placed  []int
+	burden  []float64
+	managed []float64
+}
+
+func newEvaluator(in *Instance) *evaluator {
+	n := len(in.Candidates)
+	return &evaluator{
+		in:      in,
+		placed:  make([]int, 0, n),
+		burden:  make([]float64, n),
+		managed: make([]float64, n),
+	}
+}
+
+// cost scores the placement: the Lemma-1 assignment (written to assign when
+// it is non-nil), C_M, C_S and C_B = C_M + ω·C_S. It reports ok = false, and
+// infinite costs, when no candidate is placed.
+func (e *evaluator) cost(placed []bool, assign []int) (mgmt, sync, total float64, ok bool) {
+	in := e.in
+	e.placed = e.placed[:0]
+	for n, p := range placed {
+		if p {
+			e.placed = append(e.placed, n)
+		}
+	}
+	if len(e.placed) == 0 {
+		inf := math.Inf(1)
+		return inf, inf, inf, false
+	}
+	// Sync burden of each placed candidate.
+	for k, n := range e.placed {
+		b := 0.0
+		for _, l := range e.placed {
+			b += in.Sync[n][l]
+		}
+		e.burden[k] = b
+		e.managed[k] = 0
+	}
+	// Lemma 1: each client goes to the placed candidate minimizing
+	// ω·burden + ζ, the first one on ties; C_M (eq. 3) sums in client order.
+	for m := range in.Clients {
+		row := in.Mgmt[m]
+		best, bestCost := -1, math.Inf(1)
+		for k, n := range e.placed {
+			c := in.Omega*e.burden[k] + row[n]
+			if c < bestCost {
+				best, bestCost = k, c
+			}
+		}
+		mgmt += row[e.placed[best]]
+		e.managed[best]++
+		if assign != nil {
+			assign[m] = e.placed[best]
+		}
+	}
+	// C_S (eq. 4): Σ_{n,l placed} (δ_nl·|clients of n| + ε_nl).
+	for k, n := range e.placed {
+		for _, l := range e.placed {
+			sync += in.Sync[n][l]*e.managed[k] + in.SyncConst[n][l]
+		}
+	}
+	return mgmt, sync, mgmt + in.Omega*sync, true
+}
+
+// plan evaluates the placement into a Plan of its own.
+func (e *evaluator) plan(placed []bool) Plan {
+	p := Plan{Placed: append([]bool(nil), placed...), Assign: make([]int, len(e.in.Clients))}
+	var ok bool
+	p.MgmtCost, p.SyncCost, p.TotalCost, ok = e.cost(placed, p.Assign)
+	if !ok {
+		p.Assign = nil
+	}
+	return p
+}
+
 // Assign computes the Lemma-1 optimal assignment for the placement x: each
 // client goes to the placed candidate n minimizing
 // ω·Σ_{l placed} δ_nl + ζ_mn. It returns nil if no candidate is placed.
 func (in *Instance) Assign(placed []bool) []int {
-	// Precompute the sync burden of each placed candidate.
-	burden := make([]float64, len(in.Candidates))
-	anyPlaced := false
-	for n := range in.Candidates {
-		if !placed[n] {
-			continue
-		}
-		anyPlaced = true
-		for l := range in.Candidates {
-			if placed[l] {
-				burden[n] += in.Sync[n][l]
-			}
-		}
-	}
-	if !anyPlaced {
-		return nil
-	}
-	assign := make([]int, len(in.Clients))
-	for m := range in.Clients {
-		best, bestCost := -1, math.Inf(1)
-		for n := range in.Candidates {
-			if !placed[n] {
-				continue
-			}
-			c := in.Omega*burden[n] + in.Mgmt[m][n]
-			if c < bestCost {
-				best, bestCost = n, c
-			}
-		}
-		assign[m] = best
-	}
-	return assign
+	return newEvaluator(in).plan(placed).Assign
 }
 
 // Evaluate computes the plan (assignment + cost breakdown) for a placement
 // vector. An all-false placement yields an infeasible plan with infinite
 // cost.
 func (in *Instance) Evaluate(placed []bool) Plan {
-	assign := in.Assign(placed)
-	plan := Plan{Placed: append([]bool(nil), placed...)}
-	if assign == nil {
-		plan.Assign = nil
-		plan.MgmtCost = math.Inf(1)
-		plan.SyncCost = math.Inf(1)
-		plan.TotalCost = math.Inf(1)
-		return plan
+	return newEvaluator(in).plan(placed)
+}
+
+// maxExactCandidates is the largest candidate set Solve answers exactly.
+const maxExactCandidates = 16
+
+// Exact reports whether Solve returns the proven optimum for this instance
+// (the paper's small-scale track) rather than the double-greedy
+// 1/2-approximation.
+func (in *Instance) Exact() bool { return len(in.Candidates) <= maxExactCandidates }
+
+// Solve places hubs by the paper's two tracks: exhaustive search on at most
+// 16 candidates, the deterministic double greedy (Alg. 1) above.
+func (in *Instance) Solve() (Plan, error) {
+	if in.Exact() {
+		return in.SolveExhaustive()
 	}
-	plan.Assign = assign
-	// C_M (eq. 3).
-	for m, n := range assign {
-		plan.MgmtCost += in.Mgmt[m][n]
-	}
-	// C_S (eq. 4): Σ_{n,l placed} (δ_nl·|clients of n| + ε_nl).
-	managed := make([]float64, len(in.Candidates))
-	for _, n := range assign {
-		managed[n]++
-	}
-	for n := range in.Candidates {
-		if !placed[n] {
-			continue
-		}
-		for l := range in.Candidates {
-			if !placed[l] {
-				continue
-			}
-			plan.SyncCost += in.Sync[n][l]*managed[n] + in.SyncConst[n][l]
-		}
-	}
-	plan.TotalCost = plan.MgmtCost + in.Omega*plan.SyncCost
-	return plan
+	return in.SolveDoubleGreedy(nil)
 }
 
 // SolveExhaustive enumerates every non-empty subset of candidates and
-// returns the optimal plan. It is exponential in the number of candidates
-// and refuses instances with more than 24.
+// returns the optimal plan (the first subset in mask order on ties). It is
+// exponential in the number of candidates and refuses instances with more
+// than 24.
 func (in *Instance) SolveExhaustive() (Plan, error) {
 	if err := in.Validate(); err != nil {
 		return Plan{}, err
@@ -260,18 +318,24 @@ func (in *Instance) SolveExhaustive() (Plan, error) {
 	if n > 24 {
 		return Plan{}, fmt.Errorf("placement: exhaustive solver limited to 24 candidates, got %d", n)
 	}
-	best := Plan{TotalCost: math.Inf(1)}
+	e := newEvaluator(in)
+	bestMask, bestCost := 0, math.Inf(1)
 	placed := make([]bool, n)
 	for mask := 1; mask < 1<<n; mask++ {
 		for i := 0; i < n; i++ {
 			placed[i] = mask&(1<<i) != 0
 		}
-		plan := in.Evaluate(placed)
-		if plan.TotalCost < best.TotalCost {
-			best = plan
+		if _, _, c, _ := e.cost(placed, nil); c < bestCost {
+			bestMask, bestCost = mask, c
 		}
 	}
-	return best, nil
+	if bestMask == 0 {
+		return Plan{TotalCost: bestCost}, nil
+	}
+	for i := 0; i < n; i++ {
+		placed[i] = bestMask&(1<<i) != 0
+	}
+	return e.plan(placed), nil
 }
 
 // MILPOptions tunes SolveMILP.
@@ -426,12 +490,13 @@ func (in *Instance) SolveDoubleGreedy(src *rng.Source) (Plan, error) {
 	}
 	n := len(in.Candidates)
 	penalty := in.infeasiblePenalty()
+	e := newEvaluator(in)
 	f := func(placed []bool) float64 {
-		plan := in.Evaluate(placed)
-		if math.IsInf(plan.TotalCost, 1) {
+		_, _, c, _ := e.cost(placed, nil)
+		if math.IsInf(c, 1) {
 			return penalty
 		}
-		return plan.TotalCost
+		return c
 	}
 	x := make([]bool, n) // X_0 = ∅
 	y := make([]bool, n) // Y_0 = S
@@ -484,14 +549,14 @@ func (in *Instance) SolveDoubleGreedy(src *rng.Source) (Plan, error) {
 		single := make([]bool, n)
 		for u := 0; u < n; u++ {
 			single[u] = true
-			if c := in.Evaluate(single).TotalCost; c < bestCost {
+			if _, _, c, _ := e.cost(single, nil); c < bestCost {
 				bestN, bestCost = u, c
 			}
 			single[u] = false
 		}
 		x[bestN] = true
 	}
-	return in.Evaluate(x), nil
+	return e.plan(x), nil
 }
 
 // IsSupermodularUniform checks Definition 2 on the instance's set function
@@ -504,16 +569,17 @@ func (in *Instance) IsSupermodularUniform() (bool, error) {
 		return false, fmt.Errorf("placement: supermodularity check limited to 12 candidates")
 	}
 	penalty := in.infeasiblePenalty()
+	e := newEvaluator(in)
+	placed := make([]bool, n)
 	f := func(mask int) float64 {
-		placed := make([]bool, n)
 		for i := 0; i < n; i++ {
 			placed[i] = mask&(1<<i) != 0
 		}
-		plan := in.Evaluate(placed)
-		if math.IsInf(plan.TotalCost, 1) {
+		_, _, c, _ := e.cost(placed, nil)
+		if math.IsInf(c, 1) {
 			return penalty
 		}
-		return plan.TotalCost
+		return c
 	}
 	vals := make([]float64, 1<<n)
 	for mask := range vals {

@@ -1,7 +1,9 @@
 package placement
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -389,5 +391,278 @@ func TestPlanHelpers(t *testing.T) {
 	pc := p.PlacedCandidates()
 	if len(pc) != 2 || pc[0] != 0 || pc[1] != 2 {
 		t.Fatalf("PlacedCandidates = %v", pc)
+	}
+}
+
+// The reference* functions are the allocating textbook loops the evaluator
+// replaced, kept verbatim: every candidate visited, a fresh Plan per subset.
+// The evaluator must reproduce them bit for bit.
+
+func referenceAssign(in *Instance, placed []bool) []int {
+	// Precompute the sync burden of each placed candidate.
+	burden := make([]float64, len(in.Candidates))
+	anyPlaced := false
+	for n := range in.Candidates {
+		if !placed[n] {
+			continue
+		}
+		anyPlaced = true
+		for l := range in.Candidates {
+			if placed[l] {
+				burden[n] += in.Sync[n][l]
+			}
+		}
+	}
+	if !anyPlaced {
+		return nil
+	}
+	assign := make([]int, len(in.Clients))
+	for m := range in.Clients {
+		best, bestCost := -1, math.Inf(1)
+		for n := range in.Candidates {
+			if !placed[n] {
+				continue
+			}
+			c := in.Omega*burden[n] + in.Mgmt[m][n]
+			if c < bestCost {
+				best, bestCost = n, c
+			}
+		}
+		assign[m] = best
+	}
+	return assign
+}
+
+func referenceEvaluate(in *Instance, placed []bool) Plan {
+	assign := referenceAssign(in, placed)
+	plan := Plan{Placed: append([]bool(nil), placed...)}
+	if assign == nil {
+		plan.Assign = nil
+		plan.MgmtCost = math.Inf(1)
+		plan.SyncCost = math.Inf(1)
+		plan.TotalCost = math.Inf(1)
+		return plan
+	}
+	plan.Assign = assign
+	// C_M (eq. 3).
+	for m, n := range assign {
+		plan.MgmtCost += in.Mgmt[m][n]
+	}
+	// C_S (eq. 4): Σ_{n,l placed} (δ_nl·|clients of n| + ε_nl).
+	managed := make([]float64, len(in.Candidates))
+	for _, n := range assign {
+		managed[n]++
+	}
+	for n := range in.Candidates {
+		if !placed[n] {
+			continue
+		}
+		for l := range in.Candidates {
+			if !placed[l] {
+				continue
+			}
+			plan.SyncCost += in.Sync[n][l]*managed[n] + in.SyncConst[n][l]
+		}
+	}
+	plan.TotalCost = plan.MgmtCost + in.Omega*plan.SyncCost
+	return plan
+}
+
+func referenceSolveExhaustive(in *Instance) (Plan, error) {
+	if err := in.Validate(); err != nil {
+		return Plan{}, err
+	}
+	n := len(in.Candidates)
+	if n > 24 {
+		return Plan{}, fmt.Errorf("placement: exhaustive solver limited to 24 candidates, got %d", n)
+	}
+	best := Plan{TotalCost: math.Inf(1)}
+	placed := make([]bool, n)
+	for mask := 1; mask < 1<<n; mask++ {
+		for i := 0; i < n; i++ {
+			placed[i] = mask&(1<<i) != 0
+		}
+		plan := referenceEvaluate(in, placed)
+		if plan.TotalCost < best.TotalCost {
+			best = plan
+		}
+	}
+	return best, nil
+}
+
+func referenceSolveDoubleGreedy(in *Instance, src *rng.Source) (Plan, error) {
+	if err := in.Validate(); err != nil {
+		return Plan{}, err
+	}
+	n := len(in.Candidates)
+	penalty := in.infeasiblePenalty()
+	f := func(placed []bool) float64 {
+		plan := referenceEvaluate(in, placed)
+		if math.IsInf(plan.TotalCost, 1) {
+			return penalty
+		}
+		return plan.TotalCost
+	}
+	x := make([]bool, n) // X_0 = ∅
+	y := make([]bool, n) // Y_0 = S
+	for i := range y {
+		y[i] = true
+	}
+	fx := f(x)
+	fy := f(y)
+	for u := 0; u < n; u++ {
+		// a_u: gain (cost decrease) of adding u to X.
+		x[u] = true
+		fxAdd := f(x)
+		x[u] = false
+		a := fx - fxAdd
+		// b_u: gain of removing u from Y.
+		y[u] = false
+		fyDel := f(y)
+		y[u] = true
+		b := fy - fyDel
+
+		aPos, bPos := math.Max(a, 0), math.Max(b, 0)
+		add := false
+		if src == nil {
+			add = a >= b
+		} else {
+			// Paper line 10: if a' = b' = 0, take the probability as 1.
+			p := 1.0
+			if aPos+bPos > 0 {
+				p = aPos / (aPos + bPos)
+			}
+			add = src.Bool(p) || p == 1
+		}
+		if add {
+			x[u] = true
+			fx = fxAdd
+		} else {
+			y[u] = false
+			fy = fyDel
+		}
+	}
+	// X and Y now coincide.
+	anyPlaced := false
+	for _, p := range x {
+		anyPlaced = anyPlaced || p
+	}
+	if !anyPlaced {
+		// Guard: fall back to the single best hub, which always beats the
+		// infeasible empty set.
+		bestN, bestCost := -1, math.Inf(1)
+		single := make([]bool, n)
+		for u := 0; u < n; u++ {
+			single[u] = true
+			if c := referenceEvaluate(in, single).TotalCost; c < bestCost {
+				bestN, bestCost = u, c
+			}
+			single[u] = false
+		}
+		x[bestN] = true
+	}
+	return referenceEvaluate(in, x), nil
+}
+
+// samePlan fails unless got and want are DeepEqual with bit-equal costs.
+func samePlan(t *testing.T, what string, got, want Plan) {
+	t.Helper()
+	bitsEqual := math.Float64bits(got.MgmtCost) == math.Float64bits(want.MgmtCost) &&
+		math.Float64bits(got.SyncCost) == math.Float64bits(want.SyncCost) &&
+		math.Float64bits(got.TotalCost) == math.Float64bits(want.TotalCost)
+	if !bitsEqual || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: evaluator %+v, reference %+v", what, got, want)
+	}
+}
+
+// checkAgainstReference compares every entry point with its reference: the
+// given placements through Assign and Evaluate, both double greedies
+// (randomized on a fixed seed), and the exhaustive solver when exhaustive is
+// set.
+func checkAgainstReference(t *testing.T, name string, in *Instance, placements [][]bool, exhaustive bool) {
+	t.Helper()
+	for _, placed := range placements {
+		if got, want := in.Assign(placed), referenceAssign(in, placed); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Assign(%v) = %v, reference %v", name, placed, got, want)
+		}
+		samePlan(t, name+" Evaluate", in.Evaluate(placed), referenceEvaluate(in, placed))
+	}
+	solvers := []struct {
+		what      string
+		got, want func() (Plan, error)
+	}{
+		{"deterministic double greedy",
+			func() (Plan, error) { return in.SolveDoubleGreedy(nil) },
+			func() (Plan, error) { return referenceSolveDoubleGreedy(in, nil) }},
+		{"randomized double greedy",
+			func() (Plan, error) { return in.SolveDoubleGreedy(rng.New(99)) },
+			func() (Plan, error) { return referenceSolveDoubleGreedy(in, rng.New(99)) }},
+	}
+	if exhaustive {
+		solvers = append(solvers, struct {
+			what      string
+			got, want func() (Plan, error)
+		}{"exhaustive", in.SolveExhaustive, func() (Plan, error) { return referenceSolveExhaustive(in) }})
+	}
+	for _, s := range solvers {
+		got, err := s.got()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := s.want()
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePlan(t, name+" "+s.what, got, want)
+	}
+}
+
+// randomPlacements draws count placement vectors over n candidates, the
+// empty and the full placement among them.
+func randomPlacements(src *rng.Source, n, count int) [][]bool {
+	out := [][]bool{make([]bool, n), make([]bool, n)}
+	for i := range out[1] {
+		out[1][i] = true
+	}
+	for len(out) < count {
+		p := make([]bool, n)
+		for i := range p {
+			p[i] = src.Bool(0.5)
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+func TestEvaluatorMatchesReferenceOnTieHeavyInstances(t *testing.T) {
+	src := rng.New(2024)
+	for numCands := 1; numCands <= 16; numCands++ {
+		for i, omega := range []float64{0, 0.01, 1, 5.12} {
+			in := randomInstance(src, src.IntN(12)+1, numCands, omega, i%2 == 1)
+			name := fmt.Sprintf("%d candidates, omega %v", numCands, omega)
+			exhaustive := numCands <= 12 || !testing.Short()
+			checkAgainstReference(t, name, in, randomPlacements(src, numCands, 12), exhaustive)
+		}
+	}
+}
+
+func TestEvaluatorMatchesReferenceOnGraphInstance(t *testing.T) {
+	in := graphInstance(t, 5, 3000, 24, 0.04)
+	checkAgainstReference(t, "3000-node graph", in, randomPlacements(rng.New(6), 24, 8), false)
+}
+
+// TestSolveExhaustiveAllocsFlat pins that the exhaustive solver allocates
+// per solve, not per subset: 2^8 and 2^12 subsets cost the same count.
+func TestSolveExhaustiveAllocsFlat(t *testing.T) {
+	allocs := func(numCands int) float64 {
+		in := randomInstance(rng.New(8), 20, numCands, 0.5, false)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := in.SolveExhaustive(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a8, a12 := allocs(8), allocs(12); a8 != a12 {
+		t.Fatalf("SolveExhaustive allocates %v times at 8 candidates, %v at 12", a8, a12)
 	}
 }

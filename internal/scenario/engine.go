@@ -50,8 +50,9 @@ type RunOptions struct {
 	// Seeds is an explicit replication seed list (empty: the base spec's
 	// single seed).
 	Seeds []uint64
-	// Workers bounds the sweep worker pool: 0 or 1 serial, N > 1 parallel,
-	// < 0 all cores. Results are identical for any value.
+	// Workers bounds the sweep worker pool (the placement panels solve their
+	// ω points on it too): 0 or 1 serial, N > 1 parallel, < 0 all cores.
+	// Results are identical for any value.
 	Workers int
 }
 

@@ -27,14 +27,20 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden CSV fixture
 // double as a second witness that arming the spec's retry block does not
 // move any retry-off cell (the Split(6)-last contract), and the armed
 // columns pin the recovered TSR per scheme. ln-mainnet pins the hub-label
-// tier on the mainnet-size snapshot, trimmed (see trimmedGolden). The
-// remaining registry entries run through the same runners, so they are
-// pinned transitively.
+// tier on the mainnet-size snapshot, trimmed (see trimmedGolden). fig9a–f
+// pin the placement panels: both solvers, the ω sweep and the delay/overhead
+// model at both scales. The remaining registry entries run through the same
+// runners, so they are pinned transitively.
 var goldenEntries = []string{
 	"fig7c", "figchurn", "table2",
 	"retry-jamming", "retry-flash-crowd", "retry-hub-outage",
 	"ln-mainnet",
+	"fig9a", "fig9b", "fig9c", "fig9d", "fig9e", "fig9f",
 }
+
+// placementPanels are the Fig. 9 entries, whose ω points solve on the sweep
+// workers.
+var placementPanels = []string{"fig9a", "fig9b", "fig9c", "fig9d", "fig9e", "fig9f"}
 
 // trimmedGolden cuts entries too costly to run whole in the suite down to a
 // pinnable size; their fixtures hold the trimmed entry's table. ln-mainnet
@@ -127,5 +133,28 @@ func runGoldenConformance(t *testing.T, parallel bool) {
 					name, path, diffPath)
 			}
 		})
+	}
+}
+
+// TestPlacementPanelsWorkerInvariant pins that the width of the ω sweep never
+// moves a byte of a placement panel.
+func TestPlacementPanelsWorkerInvariant(t *testing.T) {
+	for _, name := range placementPanels {
+		entry, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("registry entry %q missing", name)
+		}
+		var serial string
+		for _, workers := range []int{1, 2, -1} {
+			table, err := entry.Run(RunOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if workers == 1 {
+				serial = table.CSV()
+			} else if got := table.CSV(); got != serial {
+				t.Fatalf("%s at %d workers:\n%s\nserial:\n%s", name, workers, got, serial)
+			}
+		}
 	}
 }

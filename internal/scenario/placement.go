@@ -7,6 +7,9 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"github.com/splicer-pcn/splicer/internal/graph"
 	"github.com/splicer-pcn/splicer/internal/pcn"
@@ -18,12 +21,16 @@ import (
 // placementParts materializes what every placement panel shares across its
 // omega sweep — the topology (built once; it depends only on the seed, not
 // on omega), the candidate list from the voting excellence proxy (top
-// degree), and the remaining nodes as clients.
+// degree), the remaining nodes as clients, and one BFS hop matrix from the
+// candidates, from which the cost matrices are derived once: they do not
+// depend on omega either.
 type placementParts struct {
 	st      *buildState
 	g       *graph.Graph
 	cands   []graph.NodeID
 	clients []graph.NodeID
+	hops    [][]int             // placement.CandidateHops(g, cands)
+	base    *placement.Instance // at omega 0; see instance
 }
 
 func newPlacementParts(s Spec) (*placementParts, error) {
@@ -42,59 +49,80 @@ func newPlacementParts(s Spec) (*placementParts, error) {
 			p.clients = append(p.clients, graph.NodeID(i))
 		}
 	}
+	p.hops = placement.CandidateHops(p.g, p.cands)
+	p.base, err = placement.NewInstanceFromHops(p.hops, p.clients, p.cands, 0)
+	if err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
-// instance builds the placement instance for one omega.
-func (p *placementParts) instance(omega float64) (*placement.Instance, error) {
-	return placement.NewInstanceFromGraph(p.g, p.clients, p.cands, omega)
+// instance is the placement instance for one omega: a shallow copy of the
+// base instance, sharing its read-only cost matrices.
+func (p *placementParts) instance(omega float64) *placement.Instance {
+	inst := *p.base
+	inst.Omega = omega
+	return &inst
 }
 
-// solveBoth returns the approximation plan and (when the candidate set is
-// small enough) the exact plan.
-func solveBoth(inst *placement.Instance) (approx placement.Plan, exact placement.Plan, haveExact bool, err error) {
-	approx, err = inst.SolveDoubleGreedy(nil)
-	if err != nil {
-		return placement.Plan{}, placement.Plan{}, false, err
+// solveOmegas runs solve on the instance of every omega, on opts.Workers
+// goroutines, and returns the results in omega order. The solves share only
+// the read-only cost matrices, so the output is the same for any width.
+func solveOmegas[T any](p *placementParts, omegas []float64, opts RunOptions, solve func(*placement.Instance) (T, error)) ([]T, error) {
+	out := make([]T, len(omegas))
+	errs := make([]error, len(omegas))
+	workers := opts.workerCount()
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if len(inst.Candidates) <= 16 {
-		exact, err = inst.SolveExhaustive()
+	workers = min(workers, len(omegas))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(omegas); i = int(next.Add(1)) - 1 {
+				out[i], errs[i] = solve(p.instance(omegas[i]))
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
-			return placement.Plan{}, placement.Plan{}, false, err
+			return nil, err
 		}
-		return approx, exact, true, nil
 	}
-	return approx, placement.Plan{}, false, nil
-}
-
-func bestPlan(inst *placement.Instance) (placement.Plan, error) {
-	if len(inst.Candidates) <= 16 {
-		return inst.SolveExhaustive()
-	}
-	return inst.SolveDoubleGreedy(nil)
+	return out, nil
 }
 
 // BalanceCostSeries is Fig. 9(a): average balance cost vs ω, model
 // (approximation) vs optimal.
-func BalanceCostSeries(base Spec, omegas []float64) ([]Series, error) {
+func BalanceCostSeries(base Spec, omegas []float64, opts RunOptions) ([]Series, error) {
 	parts, err := newPlacementParts(base)
+	if err != nil {
+		return nil, err
+	}
+	type both struct {
+		approx, exact placement.Plan
+	}
+	solved, err := solveOmegas(parts, omegas, opts, func(inst *placement.Instance) (both, error) {
+		approx, err := inst.SolveDoubleGreedy(nil)
+		if err != nil || !inst.Exact() {
+			return both{approx: approx}, err
+		}
+		exact, err := inst.SolveExhaustive()
+		return both{approx, exact}, err
+	})
 	if err != nil {
 		return nil, err
 	}
 	model := Series{Name: "model"}
 	optimal := Series{Name: "optimal"}
-	for _, omega := range omegas {
-		inst, err := parts.instance(omega)
-		if err != nil {
-			return nil, err
-		}
-		approx, exact, haveExact, err := solveBoth(inst)
-		if err != nil {
-			return nil, err
-		}
-		model.Points = append(model.Points, Point{X: omega, Y: approx.TotalCost})
-		if haveExact {
-			optimal.Points = append(optimal.Points, Point{X: omega, Y: exact.TotalCost})
+	for i, omega := range omegas {
+		model.Points = append(model.Points, Point{X: omega, Y: solved[i].approx.TotalCost})
+		if parts.base.Exact() {
+			optimal.Points = append(optimal.Points, Point{X: omega, Y: solved[i].exact.TotalCost})
 		}
 	}
 	out := []Series{model}
@@ -114,26 +142,22 @@ type TradeoffPoint struct {
 
 // CostTradeoff is Fig. 9(b): the management-vs-synchronization cost curve,
 // annotated with (ω, number of smooth nodes).
-func CostTradeoff(base Spec, omegas []float64) ([]TradeoffPoint, error) {
+func CostTradeoff(base Spec, omegas []float64, opts RunOptions) ([]TradeoffPoint, error) {
 	parts, err := newPlacementParts(base)
 	if err != nil {
 		return nil, err
 	}
+	plans, err := solveOmegas(parts, omegas, opts, (*placement.Instance).Solve)
+	if err != nil {
+		return nil, err
+	}
 	var out []TradeoffPoint
-	for _, omega := range omegas {
-		inst, err := parts.instance(omega)
-		if err != nil {
-			return nil, err
-		}
-		plan, err := bestPlan(inst)
-		if err != nil {
-			return nil, err
-		}
+	for i, omega := range omegas {
 		out = append(out, TradeoffPoint{
 			Omega:    omega,
-			MgmtCost: plan.MgmtCost,
-			SyncCost: plan.SyncCost,
-			NumHubs:  plan.NumPlaced(),
+			MgmtCost: plans[i].MgmtCost,
+			SyncCost: plans[i].SyncCost,
+			NumHubs:  plans[i].NumPlaced(),
 		})
 	}
 	return out, nil
@@ -141,22 +165,18 @@ func CostTradeoff(base Spec, omegas []float64) ([]TradeoffPoint, error) {
 
 // HubCount is Fig. 9(c)/(d): the number of smooth nodes placed per ω. The
 // series carries the spec's name, matching the historical legend.
-func HubCount(base Spec, omegas []float64) (Series, error) {
+func HubCount(base Spec, omegas []float64, opts RunOptions) (Series, error) {
 	parts, err := newPlacementParts(base)
 	if err != nil {
 		return Series{}, err
 	}
+	plans, err := solveOmegas(parts, omegas, opts, (*placement.Instance).Solve)
+	if err != nil {
+		return Series{}, err
+	}
 	s := Series{Name: base.Name}
-	for _, omega := range omegas {
-		inst, err := parts.instance(omega)
-		if err != nil {
-			return Series{}, err
-		}
-		plan, err := bestPlan(inst)
-		if err != nil {
-			return Series{}, err
-		}
-		s.Points = append(s.Points, Point{X: omega, Y: float64(plan.NumPlaced())})
+	for i, omega := range omegas {
+		s.Points = append(s.Points, Point{X: omega, Y: float64(plans[i].NumPlaced())})
 	}
 	return s, nil
 }
@@ -179,27 +199,19 @@ const perHopDelayMs = 20
 // total communication overhead (management + synchronization cost mass);
 // compare against the source-routing reference without PCHs, where every
 // sender maintains the full topology.
-func DelayOverhead(base Spec, omegas []float64) ([]DelayOverheadPoint, error) {
+func DelayOverhead(base Spec, omegas []float64, opts RunOptions) ([]DelayOverheadPoint, error) {
 	parts, err := newPlacementParts(base)
 	if err != nil {
 		return nil, err
 	}
-	g, cands, clients := parts.g, parts.cands, parts.clients
-	hopsFrom := make([][]int, len(cands))
-	for i, c := range cands {
-		hopsFrom[i] = g.BFSHops(c)
+	plans, err := solveOmegas(parts, omegas, opts, (*placement.Instance).Solve)
+	if err != nil {
+		return nil, err
 	}
+	g, cands, clients, hopsFrom := parts.g, parts.cands, parts.clients, parts.hops
 
 	var out []DelayOverheadPoint
-	for _, omega := range omegas {
-		inst, err := parts.instance(omega)
-		if err != nil {
-			return nil, err
-		}
-		plan, err := bestPlan(inst)
-		if err != nil {
-			return nil, err
-		}
+	for i, plan := range plans {
 		placed := plan.PlacedCandidates()
 		// Average client→hub hop count under the plan's assignment.
 		totalAccess := 0.0
@@ -224,7 +236,7 @@ func DelayOverhead(base Spec, omegas []float64) ([]DelayOverheadPoint, error) {
 		// A payment crosses: sender→hub, hub⇝hub, hub→recipient.
 		delay := (2*meanAccess + meanHubHub) * perHopDelayMs
 		overhead := plan.MgmtCost + plan.SyncCost
-		out = append(out, DelayOverheadPoint{Omega: omega, WithPCH: true, DelayMs: delay, Overhead: overhead})
+		out = append(out, DelayOverheadPoint{Omega: omegas[i], WithPCH: true, DelayMs: delay, Overhead: overhead})
 	}
 	// Without PCHs: every sender source-routes. The per-payment delay has
 	// three components the PCH side avoids: (i) the sender must probe its

@@ -333,25 +333,25 @@ func (e *Entry) Run(opts RunOptions) (Table, error) {
 		}
 		return ChurnTable(e.Title, tsr, delay), nil
 	case KindBalanceCost:
-		series, err := BalanceCostSeries(e.Base, e.Omegas)
+		series, err := BalanceCostSeries(e.Base, e.Omegas, opts)
 		if err != nil {
 			return Table{}, err
 		}
 		return SeriesTable(e.Title, "omega", series), nil
 	case KindTradeoff:
-		pts, err := CostTradeoff(e.Base, e.Omegas)
+		pts, err := CostTradeoff(e.Base, e.Omegas, opts)
 		if err != nil {
 			return Table{}, err
 		}
 		return TradeoffTable(e.Title, pts), nil
 	case KindHubCount:
-		s, err := HubCount(e.Base, e.Omegas)
+		s, err := HubCount(e.Base, e.Omegas, opts)
 		if err != nil {
 			return Table{}, err
 		}
 		return SeriesTable(e.Title, "omega", []Series{s}), nil
 	case KindDelayOverhead:
-		pts, err := DelayOverhead(e.Base, e.Omegas)
+		pts, err := DelayOverhead(e.Base, e.Omegas, opts)
 		if err != nil {
 			return Table{}, err
 		}

@@ -291,13 +291,7 @@ func PlaceHubs(g *Graph, clients, candidates []NodeID, omega float64) (Placement
 	if err != nil {
 		return PlacementPlan{}, err
 	}
-	var plan placement.Plan
-	exact := len(candidates) <= 16
-	if exact {
-		plan, err = inst.SolveExhaustive()
-	} else {
-		plan, err = inst.SolveDoubleGreedy(nil)
-	}
+	plan, err := inst.Solve()
 	if err != nil {
 		return PlacementPlan{}, err
 	}
@@ -305,7 +299,7 @@ func PlaceHubs(g *Graph, clients, candidates []NodeID, omega float64) (Placement
 		ManagementCost: plan.MgmtCost,
 		SyncCost:       plan.SyncCost,
 		TotalCost:      plan.TotalCost,
-		Exact:          exact,
+		Exact:          inst.Exact(),
 	}
 	for _, idx := range plan.PlacedCandidates() {
 		out.Hubs = append(out.Hubs, candidates[idx])
