@@ -5,12 +5,15 @@
 //	scenarios list
 //	scenarios describe fig7c
 //	scenarios run figchurn -out results -workers -1
+//	scenarios run -workers -1 -seeds 5 small     # flags may come first
+//	scenarios run large -cpuprofile cpu.out
 //	scenarios run -spec examples/scenarios/bursty-erdos-renyi.json
 //	scenarios run all -out results
 //	scenarios diff fig7c -golden internal/scenario/testdata/golden/fig7c.csv
 //
-// Registered scenarios reproduce the paper's figures and tables CSV-for-CSV
-// (cmd/experiments renders the same registry entries); a JSON spec file
+// Registered scenarios reproduce the paper's figures and tables CSV-for-CSV;
+// the groups small and large run the paper's small-scale (Figs. 7, 9a–c,
+// 9e, Table I) and large-scale (Figs. 8, 9d, 9f) panels. A JSON spec file
 // turns a new topology × workload × dynamics × scheme combination into a
 // run without writing Go.
 package main
@@ -21,6 +24,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -58,7 +63,8 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   scenarios list
   scenarios describe <name>
-  scenarios run <name>[,<name>...]|all [-out dir] [-workers N] [-seeds N] [-max-mem-mb M]
+  scenarios run <name>[,<name>...]|small|large|all [-out dir] [-workers N] [-seeds N] [-max-mem-mb M]
+                [-cpuprofile file] [-memprofile file]
   scenarios run -spec file.json [-out dir]
   scenarios diff <name> [-golden file.csv] [-out dir]`)
 }
@@ -183,6 +189,34 @@ func describe(args []string) error {
 	return nil
 }
 
+// groups name the paper's two evaluation scales; run takes a group name in
+// place of the comma list it stands for.
+var groups = map[string][]string{
+	"small": {"fig7a", "fig7b", "fig7c", "fig7d", "fig9a", "fig9b", "fig9c", "fig9e", "table1"},
+	"large": {"fig8a", "fig8b", "fig8c", "fig8d", "fig9d", "fig9f"},
+}
+
+// parseArgs parses fs over args and returns the one positional argument, or
+// "" when there is none. The positional may come before the flags or after
+// them (`run <name> -flags`, `run -flags <name>`); a second one is an error
+// rather than silently dropped.
+func parseArgs(fs *flag.FlagSet, args []string) (string, error) {
+	var name string
+	for {
+		if err := fs.Parse(args); err != nil {
+			return "", err
+		}
+		args = fs.Args()
+		if len(args) == 0 {
+			return name, nil
+		}
+		if name != "" {
+			return "", fmt.Errorf("unexpected argument %q after %q (name several scenarios as one comma list)", args[0], name)
+		}
+		name, args = args[0], args[1:]
+	}
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	outDir := fs.String("out", "results", "output directory for CSV files")
@@ -190,29 +224,36 @@ func run(args []string) error {
 	seeds := fs.Int("seeds", 1, "seeds per sweep cell; points report the across-seed mean")
 	specPath := fs.String("spec", "", "run a JSON spec file instead of a registered scenario")
 	maxMemMB := fs.Int64("max-mem-mb", 0, "fail fast when a run's estimated footprint exceeds this budget (MiB); 0 = available memory, negative = no gate")
-	// Allow `run <name> -flags` and `run -flags <name>`.
-	var names []string
-	rest := args
-	if len(rest) > 0 && !strings.HasPrefix(rest[0], "-") {
-		names = strings.Split(rest[0], ",")
-		rest = rest[1:]
-	}
-	if err := fs.Parse(rest); err != nil {
+	cpuProf := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProf := fs.String("memprofile", "", "write a heap profile, taken after the run, to this file")
+	arg, err := parseArgs(fs, args)
+	if err != nil {
 		return err
 	}
+	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	if err != nil {
+		return err
+	}
+	defer stopProfiles()
 	opts := scenario.RunOptions{Workers: *workers}
 	if *seeds > 1 {
 		opts.SeedCount = *seeds
 	}
 	budget := memBudgetMB(*maxMemMB)
 	if *specPath != "" {
+		if arg != "" {
+			return fmt.Errorf("run takes a scenario name or -spec, not both")
+		}
 		return runSpecFile(*specPath, *outDir, opts, budget)
 	}
-	if len(names) == 0 {
-		return fmt.Errorf("run needs a scenario name, a comma list, 'all', or -spec file.json")
+	if arg == "" {
+		return fmt.Errorf("run needs a scenario name, a comma list, small, large, all, or -spec file.json")
 	}
-	if len(names) == 1 && names[0] == "all" {
+	names := strings.Split(arg, ",")
+	if arg == "all" {
 		names = scenario.Names()
+	} else if group, ok := groups[arg]; ok {
+		names = group
 	}
 	for _, name := range names {
 		name = strings.TrimSpace(name)
@@ -238,6 +279,51 @@ func run(args []string) error {
 		fmt.Println(table.Markdown())
 	}
 	return nil
+}
+
+// startProfiles starts the CPU profile and arms the post-run heap profile.
+// The returned stop function finishes both; run defers it, so the profiles
+// are written on error returns too.
+func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+	stopCPU := func() {}
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return nil, err
+		}
+		stopCPU = func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "scenarios:", err)
+			}
+		}
+	}
+	return func() {
+		stopCPU()
+		if memPath == "" {
+			return
+		}
+		if err := writeHeapProfile(memPath); err != nil {
+			fmt.Fprintln(os.Stderr, "scenarios:", err)
+		}
+	}, nil
+}
+
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func runSpecFile(path, outDir string, opts scenario.RunOptions, budgetMB int64) error {
@@ -327,13 +413,8 @@ func diff(args []string) error {
 	golden := fs.String("golden", "", "golden CSV to compare against (default internal/scenario/testdata/golden/<name>.csv)")
 	outDir := fs.String("out", "results", "where to write the regenerated CSV on mismatch")
 	workers := fs.Int("workers", -1, "sweep workers (identical results for any value)")
-	var name string
-	rest := args
-	if len(rest) > 0 && !strings.HasPrefix(rest[0], "-") {
-		name = rest[0]
-		rest = rest[1:]
-	}
-	if err := fs.Parse(rest); err != nil {
+	name, err := parseArgs(fs, args)
+	if err != nil {
 		return err
 	}
 	if name == "" {

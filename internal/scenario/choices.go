@@ -1,7 +1,7 @@
 // The routing-choice study (Table II): Splicer's TSR for each path type,
 // path count and queue scheduling algorithm, at small and large scales.
-// Ported from internal/experiments; cell order (choice-major, small before
-// large, then seed) and labels are part of the golden-fixture contract.
+// Cell order (choice-major, small before large, then seed) and labels are
+// part of the golden-fixture contract.
 package scenario
 
 import (
@@ -31,12 +31,6 @@ type ChoicesOptions struct {
 	Schedulers  []string
 	// SkipLarge drops the large-scale column (test budgets).
 	SkipLarge bool
-	// SmallSeeds / LargeSeeds pin each scale's replication seed list
-	// explicitly (the historical per-scenario Seeds semantics). Empty lists
-	// fall back to the shared RunOptions derivation against that scale's
-	// base seed.
-	SmallSeeds []uint64
-	LargeSeeds []uint64
 }
 
 func (o *ChoicesOptions) fill() {
@@ -79,11 +73,8 @@ func RoutingChoices(small, large Spec, opts ChoicesOptions, run RunOptions) ([]T
 	// One cell per (choice, scale, seed); each (choice, scale) group keys on
 	// its label and the rows report the across-seed mean TSR.
 	var cells []sweep.Cell
-	addCells := func(scen Spec, seeds []uint64, label string, apply func(*RoutingSpec)) {
-		if len(seeds) == 0 {
-			seeds = run.seedsFor(scen.Seed)
-		}
-		for _, seed := range seeds {
+	addCells := func(scen Spec, label string, apply func(*RoutingSpec)) {
+		for _, seed := range run.seedsFor(scen.Seed) {
 			cell := scen
 			cell.Seed = seed
 			apply(&cell.Routing)
@@ -92,9 +83,9 @@ func RoutingChoices(small, large Spec, opts ChoicesOptions, run RunOptions) ([]T
 	}
 	for _, ch := range choices {
 		label := ch.group + "/" + ch.name
-		addCells(small, opts.SmallSeeds, label+" small", ch.apply)
+		addCells(small, label+" small", ch.apply)
 		if !opts.SkipLarge {
-			addCells(large, opts.LargeSeeds, label+" large", ch.apply)
+			addCells(large, label+" large", ch.apply)
 		}
 	}
 	results := sweep.Run(cells, run.workerCount())

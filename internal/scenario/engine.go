@@ -43,13 +43,9 @@ func (m Metric) of(s sweep.Summary) (float64, error) {
 // RunOptions carries the execution knobs shared by every runner.
 type RunOptions struct {
 	// SeedCount replicates every cell over seeds base, base+1, …,
-	// base+SeedCount−1 (relative to each base spec's seed — the historical
-	// -seeds flag semantics); points report the across-seed mean. Takes
-	// precedence over Seeds.
+	// base+SeedCount−1, relative to each base spec's seed; points report the
+	// across-seed mean. 0 or 1 runs the base spec's seed alone.
 	SeedCount int
-	// Seeds is an explicit replication seed list (empty: the base spec's
-	// single seed).
-	Seeds []uint64
 	// Workers bounds the sweep worker pool (the placement panels solve their
 	// ω points on it too): 0 or 1 serial, N > 1 parallel, < 0 all cores.
 	// Results are identical for any value.
@@ -57,17 +53,11 @@ type RunOptions struct {
 }
 
 func (o RunOptions) seedsFor(base uint64) []uint64 {
-	if o.SeedCount > 0 {
-		out := make([]uint64, o.SeedCount)
-		for i := range out {
-			out[i] = base + uint64(i)
-		}
-		return out
+	out := make([]uint64, max(o.SeedCount, 1))
+	for i := range out {
+		out[i] = base + uint64(i)
 	}
-	if len(o.Seeds) > 0 {
-		return o.Seeds
-	}
-	return []uint64{base}
+	return out
 }
 
 func (o RunOptions) workerCount() int {

@@ -12,27 +12,27 @@ import (
 // artifact).
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden CSV fixtures from current output")
 
-// goldenEntries names the registry entries pinned byte-for-byte. The
-// fixtures were produced by the hand-wired pre-engine experiment runners
-// (cmd/experiments), so this test is the proof that the declarative engine
-// reproduces the historical generators exactly — and it keeps future perf
-// PRs honest mechanically: any change to the sweep machinery, the rng split
-// discipline, the simulator core or the CSV formatting that shifts a single
-// byte fails here.
+// goldenEntries names the registry entries pinned byte-for-byte. fig7c,
+// figchurn and table2 were first produced by the hand-wired experiment
+// runners that predate the declarative engine, so they prove the engine
+// reproduces those generators exactly; every later fixture was generated
+// from the engine at the commit before the change that added it. Any
+// change to the sweep machinery, the rng split discipline, the simulator
+// core or the CSV formatting that shifts a single byte fails here.
 //
-// fig7c pins the static figure path (scheme sweep, tau mutation), figchurn
-// the dynamics path (timeline, driver, online re-placement), table2 the
-// config-mutation path (path types, path counts, schedulers, both scales).
-// The retry-* entries pin the retry-resilience panel: the unarmed columns
-// double as a second witness that arming the spec's retry block does not
-// move any retry-off cell (the Split(6)-last contract), and the armed
-// columns pin the recovered TSR per scheme. ln-mainnet pins the hub-label
-// tier on the mainnet-size snapshot, trimmed (see trimmedGolden). fig9a–f
-// pin the placement panels: both solvers, the ω sweep and the delay/overhead
-// model at both scales. The remaining registry entries run through the same
-// runners, so they are pinned transitively.
+// fig7a–d pin the static figure path over all three swept parameters
+// (channel_scale, value_scale, tau_ms) and both figure metrics; figchurn
+// the dynamics path (timeline, driver, online re-placement); table1 the
+// static property matrix; table2 the config-mutation path (path types, path
+// counts, schedulers, both scales). The retry-* entries pin the
+// retry-resilience panel: the unarmed columns double as a second witness
+// that arming the spec's retry block does not move any retry-off cell (the
+// Split(6)-last contract), and the armed columns pin the recovered TSR per
+// scheme. ln-mainnet pins the hub-label tier on the mainnet-size snapshot,
+// trimmed (see trimmedGolden). fig9a–f pin the placement panels: both
+// solvers, the ω sweep and the delay/overhead model at both scales.
 var goldenEntries = []string{
-	"fig7c", "figchurn", "table2",
+	"fig7a", "fig7b", "fig7c", "fig7d", "figchurn", "table1", "table2",
 	"retry-jamming", "retry-flash-crowd", "retry-hub-outage",
 	"ln-mainnet",
 	"fig9a", "fig9b", "fig9c", "fig9d", "fig9e", "fig9f",

@@ -1,7 +1,6 @@
 // Placement panels (Fig. 9): analytical evaluations of the hub-placement
-// solver over a spec's topology. Ported from internal/experiments, which
-// now delegates here; the build path reuses the spec pipeline so the
-// topologies (and hence the numbers) match the historical runners exactly.
+// solver over a spec's topology. The build path reuses the spec pipeline, so
+// a panel places hubs on exactly the topology its simulation cells run on.
 package scenario
 
 import (

@@ -1,6 +1,6 @@
-// Load generator: sustained-throughput measurement against a Server, used
-// by cmd/bench's -loadgen mode (BENCH_PR7.json serve/ entries) and the CI
-// loadgen smoke. Clients call Server.Route directly — the HTTP layer is
+// Load generator: sustained-throughput measurement against a Server, driven
+// by the package's load tests (TestLoadGen*, including CI's serve
+// degradation smoke). Clients call Server.Route directly — the HTTP layer is
 // deliberately out of the measured path, so the number is the serving
 // core's routes/sec, not a socket benchmark.
 
