@@ -8,6 +8,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -232,5 +233,83 @@ func TestMutationJournal(t *testing.T) {
 	// A future (bogus) cursor is also rejected.
 	if _, ok := g.MutationsSince(g.MutationSeq() + 1); ok {
 		t.Fatal("future cursor accepted")
+	}
+}
+
+// adjBFSHops is the adjacency-list BFS that BFSHops ran before it walked the
+// CSR: the reference the CSR searches must reproduce.
+func adjBFSHops(g *Graph, src NodeID) []int {
+	dist := make([]int, g.NumNodes())
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue := []NodeID{src}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, eid := range g.adj[u] {
+			if v := g.edges[eid].Other(u); dist[v] < 0 {
+				dist[v] = dist[u] + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+	return dist
+}
+
+// TestCSRBFSMatchesAdjUnderChurn: on churned graphs — tombstoned edges,
+// joiners left isolated — the hop searches (BFSHops, BFSHopsInto with a
+// reused queue, Components) give the reference adjacency BFS's answer for
+// every source, both on the incrementally maintained CSR and on a clone
+// that has none (where they must not build one), and PathFinder.UnitHops
+// agrees with them.
+func TestCSRBFSMatchesAdjUnderChurn(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomTestGraph(t, seed+700, 40, 70)
+		g.csrEnsure() // churn the incrementally maintained CSR, not a fresh build
+		for step := 0; step < 400; step++ {
+			churnStep(rng, g)
+		}
+		for j := 0; j < 3; j++ {
+			g.AddNode() // isolated joiners
+		}
+		pf := NewPathFinder(g)
+		for _, h := range []*Graph{g, g.Clone()} {
+			csr := h.csr.ok
+			label, count := h.Components()
+			dist := make([]int, h.NumNodes())
+			var queue []NodeID
+			seenLabel := 0
+			for s := 0; s < h.NumNodes(); s++ {
+				src := NodeID(s)
+				want := adjBFSHops(h, src)
+				queue = h.BFSHopsInto(dist, src, queue)
+				if !slices.Equal(dist, want) || !slices.Equal(h.BFSHops(src), want) {
+					t.Fatalf("seed %d csr=%v src %d: hops %v, adjacency BFS %v", seed, csr, s, dist, want)
+				}
+				for v, d := range want {
+					if got := pf.UnitHops(src, NodeID(v)); got != d {
+						t.Fatalf("seed %d: UnitHops(%d, %d) = %d, BFS %d", seed, s, v, got, d)
+					}
+					if (d >= 0) != (label[v] == label[s]) {
+						t.Fatalf("seed %d csr=%v: nodes %d, %d labelled %d, %d at hop distance %d", seed, csr, s, v, label[s], label[v], d)
+					}
+				}
+				// Components are numbered by their lowest node.
+				if label[s] == seenLabel {
+					seenLabel++
+				} else if label[s] > seenLabel {
+					t.Fatalf("seed %d csr=%v: node %d opens component %d, want %d", seed, csr, s, label[s], seenLabel)
+				}
+			}
+			if seenLabel != count || count < 4 {
+				t.Fatalf("seed %d csr=%v: %d components seen, Components reported %d (want ≥ 4 with the joiners)", seed, csr, seenLabel, count)
+			}
+			if h.csr.ok != csr {
+				t.Fatalf("seed %d: a hop search changed whether the graph has a CSR (%v → %v)", seed, csr, h.csr.ok)
+			}
+		}
 	}
 }

@@ -13,6 +13,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // NodeID identifies a node. IDs are dense indices in [0, NumNodes).
@@ -345,26 +346,80 @@ func CapacityFilteredUnitWeight(minCap float64) WeightFunc {
 }
 
 // BFSHops returns the hop distance from src to every node (-1 when
-// unreachable), ignoring capacities.
+// unreachable), ignoring capacities. Repeated searches should share their
+// buffers through BFSHopsInto.
 func (g *Graph) BFSHops(src NodeID) []int {
 	dist := make([]int, g.NumNodes())
+	g.BFSHopsInto(dist, src, nil)
+	return dist
+}
+
+// BFSHopsInto is BFSHops writing into dist, which must hold NumNodes()
+// entries. queue is the search's scratch: its backing array is reused when
+// it can hold every node, and the queue is returned for the next search,
+// so a caller looping over sources allocates it once.
+func (g *Graph) BFSHopsInto(dist []int, src NodeID, queue []NodeID) []NodeID {
 	for i := range dist {
 		dist[i] = -1
 	}
+	if cap(queue) < len(dist) {
+		queue = make([]NodeID, 0, len(dist))
+	}
 	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	return g.sweep(src, dist, 1, queue)
+}
+
+// Components labels every node with its connected component: label[v] is
+// the component's index, and components are numbered in the order of their
+// lowest node id. It returns the labels and the number of components.
+func (g *Graph) Components() (label []int, count int) {
+	label = make([]int, g.NumNodes())
+	for i := range label {
+		label[i] = -1
+	}
+	queue := make([]NodeID, 0, len(label))
+	for root := range label {
+		if label[root] < 0 {
+			label[root] = count
+			queue = g.sweep(NodeID(root), label, 0, queue)
+			count++
+		}
+	}
+	return label, count
+}
+
+// sweep runs a breadth-first search from src over the nodes whose mark is
+// -1, giving each node it reaches its parent's mark plus step (hop counts
+// with step 1, component labels with step 0), and returns the queue for
+// reuse. It walks the packed CSR arcs when the graph has them. It does not
+// build them: placement searches a graph before the multi-star reshape adds
+// a channel per client, and a CSR built that early has every client's arc
+// region migrate during the reshape. The adjacency lists hold the same
+// arcs, and a node's hop count or label does not depend on the order its
+// arcs are visited in.
+func (g *Graph) sweep(src NodeID, mark []int, step int, queue []NodeID) []NodeID {
+	queue = append(queue[:0], src)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		m := mark[u] + step
+		if g.csr.ok {
+			s := g.csr.span[u]
+			for _, arc := range g.csr.slab[s.off : s.off+s.n] {
+				if v := NodeID(arc >> 32); mark[v] < 0 {
+					mark[v] = m
+					queue = append(queue, v)
+				}
+			}
+			continue
+		}
 		for _, eid := range g.adj[u] {
-			v := g.edges[eid].Other(u)
-			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
+			if v := g.edges[eid].Other(u); mark[v] < 0 {
+				mark[v] = m
 				queue = append(queue, v)
 			}
 		}
 	}
-	return dist
+	return queue
 }
 
 // AllPairsHops computes the hop-distance matrix via one BFS per node.
@@ -408,31 +463,48 @@ func (g *Graph) WidestPath(src, dst NodeID) (Path, bool) {
 	return NewPathFinder(g).WidestPath(src, dst)
 }
 
+// reconstruct returns the src→dst path of a prev tree as a new Path whose
+// slices are allocated once, at their final length.
 func reconstruct(src, dst NodeID, prevNode []NodeID, prevEdge []EdgeID) Path {
-	nodes, edges := reconstructInto(nil, nil, src, dst, prevNode, prevEdge)
-	return Path{Nodes: nodes, Edges: edges}
+	hops := chainHops(src, dst, prevNode)
+	p := Path{Nodes: make([]NodeID, hops+1)}
+	if hops > 0 {
+		p.Edges = make([]EdgeID, hops)
+	}
+	fillChain(p.Nodes, p.Edges, dst, prevNode, prevEdge)
+	return p
 }
 
-// reconstructInto is reconstruct appending into caller-owned buffers, for
-// paths that are consumed immediately (Yen spur splicing) rather than
-// retained.
+// reconstructInto is reconstruct writing into caller-owned buffers, grown
+// only when too short, for paths that are consumed immediately (Yen spur
+// splicing) rather than retained.
 func reconstructInto(nodes []NodeID, edges []EdgeID, src, dst NodeID, prevNode []NodeID, prevEdge []EdgeID) ([]NodeID, []EdgeID) {
-	for at := dst; ; {
-		nodes = append(nodes, at)
-		if at == src {
-			break
-		}
-		edges = append(edges, prevEdge[at])
+	hops := chainHops(src, dst, prevNode)
+	nodes = slices.Grow(nodes[:0], hops+1)[:hops+1]
+	edges = slices.Grow(edges[:0], hops)[:hops]
+	fillChain(nodes, edges, dst, prevNode, prevEdge)
+	return nodes, edges
+}
+
+// chainHops counts the edges on the prev chain from dst back to src.
+func chainHops(src, dst NodeID, prevNode []NodeID) int {
+	hops := 0
+	for at := dst; at != src; at = prevNode[at] {
+		hops++
+	}
+	return hops
+}
+
+// fillChain writes the prev chain ending at dst into nodes and edges, sized
+// by chainHops, from the back.
+func fillChain(nodes []NodeID, edges []EdgeID, dst NodeID, prevNode []NodeID, prevEdge []EdgeID) {
+	at := dst
+	for i := len(edges); i > 0; i-- {
+		nodes[i] = at
+		edges[i-1] = prevEdge[at]
 		at = prevNode[at]
 	}
-	// Reverse in place.
-	for i, j := 0, len(nodes)-1; i < j; i, j = i+1, j-1 {
-		nodes[i], nodes[j] = nodes[j], nodes[i]
-	}
-	for i, j := 0, len(edges)-1; i < j; i, j = i+1, j-1 {
-		edges[i], edges[j] = edges[j], edges[i]
-	}
-	return nodes, edges
+	nodes[0] = at
 }
 
 // KShortestPaths implements Yen's algorithm, returning up to k loopless
@@ -440,14 +512,6 @@ func reconstructInto(nodes []NodeID, edges []EdgeID, src, dst NodeID, prevNode [
 // Repeated queries should share a PathFinder.
 func (g *Graph) KShortestPaths(src, dst NodeID, k int, w WeightFunc) []Path {
 	return NewPathFinder(g).KShortestPaths(src, dst, k, w)
-}
-
-func pathKey(p Path) string {
-	b := make([]byte, 0, len(p.Nodes)*4)
-	for _, n := range p.Nodes {
-		b = append(b, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
-	}
-	return string(b)
 }
 
 // EdgeDisjointShortestPaths greedily extracts up to k pairwise edge-disjoint

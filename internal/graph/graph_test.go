@@ -549,3 +549,12 @@ func TestHasEdgeBetween(t *testing.T) {
 		t.Fatal("EdgeBetween found non-existent edge")
 	}
 }
+
+// pathKey encodes a path's node sequence, 4 little-endian bytes per node.
+func pathKey(p Path) string {
+	b := make([]byte, 0, len(p.Nodes)*4)
+	for _, n := range p.Nodes {
+		b = append(b, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
+	}
+	return string(b)
+}

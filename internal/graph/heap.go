@@ -163,6 +163,15 @@ func (h *candidateHeap) swap(i, j int) {
 	h.spurs[i], h.spurs[j] = h.spurs[j], h.spurs[i]
 }
 
+// reset empties the heap, releasing the leftover candidates' paths.
+func (h *candidateHeap) reset() {
+	clear(h.paths)
+	h.paths = h.paths[:0]
+	h.costs = h.costs[:0]
+	h.seqs = h.seqs[:0]
+	h.spurs = h.spurs[:0]
+}
+
 func (h *candidateHeap) push(p Path, cost float64, seq uint64, spur int) {
 	h.paths = append(h.paths, p)
 	h.costs = append(h.costs, cost)

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -55,6 +56,12 @@ type PathFinder struct {
 	// buffers instead of allocating two slices per spur search.
 	spurNodes []NodeID
 	spurEdges []EdgeID
+	// Yen's per-query working set, emptied (not freed) by each query: the
+	// candidate heap and the result indices sharing the current spur root.
+	cands   candidateHeap
+	sharing []int
+	// queue is UnitHops' breadth-first queue.
+	queue []NodeID
 }
 
 // NewPathFinder returns a finder for g.
@@ -151,6 +158,15 @@ func (pf *PathFinder) begin() {
 // state and returns the minimum-cost path. ok is false when dst is
 // unreachable.
 func (pf *PathFinder) ShortestPath(src, dst NodeID, w WeightFunc) (Path, bool) {
+	if !pf.runShortest(src, dst, w) {
+		return Path{}, false
+	}
+	return reconstruct(src, dst, pf.prevNode, pf.prevEdge), true
+}
+
+// runShortest executes Dijkstra under w, leaving the prev tree in the
+// scratch arrays; it reports whether dst was reached.
+func (pf *PathFinder) runShortest(src, dst NodeID, w WeightFunc) bool {
 	pf.begin()
 	g := pf.g
 	sd := pf.query << 1
@@ -195,10 +211,7 @@ func (pf *PathFinder) ShortestPath(src, dst NodeID, w WeightFunc) (Path, bool) {
 			}
 		}
 	}
-	if pf.state[dst] < sd {
-		return Path{}, false
-	}
-	return reconstruct(src, dst, pf.prevNode, pf.prevEdge), true
+	return pf.state[dst] >= sd
 }
 
 // UnitShortestPath is ShortestPath specialized to unit weights (hop
@@ -309,6 +322,42 @@ func (pf *PathFinder) runUnit(src, dst NodeID, banEdges, banNodes bool) bool {
 		}
 	}
 	return pf.state[dst] >= sd
+}
+
+// UnitHops returns the hop distance from src to dst, -1 when dst is
+// unreachable: Graph.BFSHops(src)[dst], from a breadth-first search on the
+// finder's stamped scratch that stops at dst's first touch.
+func (pf *PathFinder) UnitHops(src, dst NodeID) int {
+	if src == dst {
+		return 0
+	}
+	pf.begin()
+	pf.g.csrEnsure()
+	sd := pf.query << 1
+	state, hops := pf.state, pf.hops
+	span, slab := pf.g.csr.span, pf.g.csr.slab
+	state[src] = sd
+	hops[src] = 0
+	queue := append(pf.queue[:0], src)
+	defer func() { pf.queue = queue[:0] }()
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		du := hops[u] + 1
+		s := span[u]
+		for _, arc := range slab[s.off : s.off+s.n] {
+			v := NodeID(arc >> 32)
+			if state[v] >= sd {
+				continue
+			}
+			if v == dst {
+				return du
+			}
+			state[v] = sd
+			hops[v] = du
+			queue = append(queue, v)
+		}
+	}
+	return -1
 }
 
 // UnitShortestPaths runs ONE unit-weight Dijkstra from src and returns the
@@ -462,6 +511,9 @@ func (pf *PathFinder) EdgeDisjointWidestPaths(src, dst NodeID, k int) []Path {
 		if !ok {
 			break
 		}
+		if out == nil {
+			out = make([]Path, 0, min(k, maxResultPresize))
+		}
 		out = append(out, p)
 		for _, eid := range p.Edges {
 			pf.banEdge(eid)
@@ -557,12 +609,15 @@ func (pf *PathFinder) kShortestPathsFrom(first Path, dst NodeID, k int, w Weight
 	if k <= 0 {
 		return nil
 	}
+	if k == 1 {
+		return []Path{first}
+	}
 	pf.ensure()
 	pf.ensureEdges()
 	g := pf.g
-	result := []Path{first}
-	seen := map[string]bool{pathKey(first): true}
-	var cands candidateHeap
+	result := make([]Path, 1, min(k, maxResultPresize))
+	result[0] = first
+	cands := &pf.cands
 	var seq uint64
 	pathCost := func(p Path) float64 {
 		if unit {
@@ -580,7 +635,6 @@ func (pf *PathFinder) kShortestPathsFrom(first Path, dst NodeID, k int, w Weight
 		}
 		return w(e, from)
 	}
-	sharing := make([]int, 0, k)
 
 	// prevSpur is the spur index at which the newest result path deviated
 	// from the result that spawned it (Lawler's optimization): for spur
@@ -597,7 +651,7 @@ func (pf *PathFinder) kShortestPathsFrom(first Path, dst NodeID, k int, w Weight
 		// starts at src, so all share the length-1 root; the set only
 		// shrinks as the root grows, so it is filtered incrementally rather
 		// than re-scanning every result path per spur node.
-		sharing = sharing[:0]
+		sharing := pf.sharing[:0]
 		for idx := range result {
 			sharing = append(sharing, idx)
 		}
@@ -624,35 +678,38 @@ func (pf *PathFinder) kShortestPathsFrom(first Path, dst NodeID, k int, w Weight
 					pf.banEdge(rp.Edges[i])
 				}
 			}
-			var spur Path
+			// Spur paths are spliced into `total` below and discarded, so
+			// they reconstruct into the finder's reusable scratch.
+			var reached bool
 			if unit {
-				// Spur paths are spliced into `total` below and discarded,
-				// so they reconstruct into the finder's reusable scratch.
-				if !pf.runUnit(prev.Nodes[i], dst, true, true) {
-					continue
-				}
-				pf.spurNodes, pf.spurEdges = reconstructInto(
-					pf.spurNodes[:0], pf.spurEdges[:0], prev.Nodes[i], dst, pf.prevNode, pf.prevEdge)
-				spur = Path{Nodes: pf.spurNodes, Edges: pf.spurEdges}
+				reached = pf.runUnit(prev.Nodes[i], dst, true, true)
 			} else {
-				var spurOK bool
-				spur, spurOK = pf.ShortestPath(prev.Nodes[i], dst, wf)
-				if !spurOK {
-					continue
-				}
+				reached = pf.runShortest(prev.Nodes[i], dst, wf)
 			}
-			total := Path{
-				Nodes: append(append([]NodeID(nil), prev.Nodes[:i+1]...), spur.Nodes[1:]...),
-				Edges: append(append([]EdgeID(nil), prev.Edges[:i]...), spur.Edges...),
-			}
-			key := pathKey(total)
-			if seen[key] {
+			if !reached {
 				continue
 			}
-			seen[key] = true
+			pf.spurNodes, pf.spurEdges = reconstructInto(
+				pf.spurNodes[:0], pf.spurEdges[:0], prev.Nodes[i], dst, pf.prevNode, pf.prevEdge)
+			root, spurNodes, spurEdges := prev.Nodes[:i+1], pf.spurNodes[1:], pf.spurEdges
+			// Every path found so far is a result or a queued candidate, so
+			// the spliced path is new iff it matches none of them; checking
+			// before splicing means a repeat costs no allocation.
+			if pf.known(result, root, spurNodes) {
+				continue
+			}
+			total := Path{
+				Nodes: make([]NodeID, i+1+len(spurNodes)),
+				Edges: make([]EdgeID, i+len(spurEdges)),
+			}
+			copy(total.Nodes, root)
+			copy(total.Nodes[len(root):], spurNodes)
+			copy(total.Edges, prev.Edges[:i])
+			copy(total.Edges[i:], spurEdges)
 			cands.push(total, pathCost(total), seq, i)
 			seq++
 		}
+		pf.sharing = sharing[:0]
 		if n := len(prev.Nodes) - 2; n > 0 {
 			for _, nid := range prev.Nodes[:n] {
 				pf.bannedNode[nid] = false
@@ -665,8 +722,26 @@ func (pf *PathFinder) kShortestPathsFrom(first Path, dst NodeID, k int, w Weight
 		next, prevSpur = cands.pop()
 		result = append(result, next)
 	}
+	// Drop the leftover candidates' paths, so the reused heap pins nothing
+	// past the query.
+	cands.reset()
 	return result
 }
+
+// known reports whether the node sequence root+spur is one of Yen's result
+// paths or queued candidates.
+func (pf *PathFinder) known(result []Path, root, spur []NodeID) bool {
+	same := func(p Path) bool {
+		return len(p.Nodes) == len(root)+len(spur) &&
+			slices.Equal(p.Nodes[len(root):], spur) && slices.Equal(p.Nodes[:len(root)], root)
+	}
+	return slices.ContainsFunc(result, same) || slices.ContainsFunc(pf.cands.paths, same)
+}
+
+// maxResultPresize caps the result capacity the k-path searches reserve up
+// front: k comes from the caller (splicerd takes it from the request), so a
+// huge k must not become a huge allocation.
+const maxResultPresize = 16
 
 // EdgeDisjointShortestPaths greedily extracts up to k pairwise edge-disjoint
 // shortest (fewest-hop) paths on the finder's scratch state: find a shortest
@@ -678,6 +753,9 @@ func (pf *PathFinder) EdgeDisjointShortestPaths(src, dst NodeID, k int) []Path {
 		p, ok := pf.shortestUnit(src, dst, true, false)
 		if !ok {
 			break
+		}
+		if out == nil {
+			out = make([]Path, 0, min(k, maxResultPresize))
 		}
 		out = append(out, p)
 		for _, eid := range p.Edges {

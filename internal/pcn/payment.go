@@ -12,8 +12,10 @@ import (
 	"github.com/splicer-pcn/splicer/internal/workload"
 )
 
-// txRun tracks one payment through its lifetime.
+// txRun tracks one payment through its lifetime. It is the deadline
+// watchdog's sim.Handler.
 type txRun struct {
+	net       *Network
 	tx        workload.Tx
 	pair      pairKey
 	paths     []graph.Path
@@ -30,25 +32,35 @@ type txRun struct {
 	// controller — in-flight TUs must keep resolving against the controller
 	// whose windows they occupy.
 	rc *routing.RateController
-	// pending holds TUs waiting for window room (rate-controlled schemes).
-	pending []*tuRun
+	// pending holds TUs waiting for window room (rate-controlled schemes):
+	// the unsent suffix of the payment's TU slab, which they leave in id
+	// order.
+	pending []tuRun
 	// live TUs for deadline unwinding (swap-remove registry; a map here
 	// cost an allocation per payment and a hash per TU transition).
+	// dispatch sizes it to the payment's TU count, which it never exceeds.
 	live []*tuRun
 }
 
-// tuRun is one transaction-unit in flight.
+// Fire is the deadline watchdog.
+func (run *txRun) Fire() { run.net.onDeadline(run) }
+
+// tuRun is one transaction-unit in flight. dispatch allocates a payment's
+// TUs as one slab. A tuRun is its own per-hop timer (sim.Handler), so
+// forwarding allocates no closure.
 type tuRun struct {
-	id            uint64
-	tx            *txRun
-	pathIdx       int
-	path          graph.Path
-	value         float64
-	hop           int // next hop index to traverse
-	chain         []htlc.Contract
-	lockedThrough int // number of hops currently locked
-	queued        *channel.QueuedTU
-	queuedAt      struct {
+	id      uint64
+	tx      *txRun
+	pathIdx int
+	path    graph.Path
+	value   float64
+	hop     int // next hop index to traverse
+	// htlc is the TU's contract chain: the lock every hop shares, stored
+	// once, and a state per currently locked hop in the payment's state
+	// slab.
+	htlc     htlc.Hops
+	queued   *channel.QueuedTU
+	queuedAt struct {
 		ch  *channel.Channel
 		dir channel.Direction
 	}
@@ -57,15 +69,15 @@ type tuRun struct {
 	// attempts counts completed send attempts beyond the first (see
 	// retry.go); 0 unless Config.Retry is armed and this TU was retried.
 	attempts int
-	// advance is the hop-forwarding closure, built once per TU and reused
-	// for every per-hop timer instead of allocating a closure per hop.
-	advance func()
-	// pre/hash cache the TU's HTLC preimage and lock hash (both pure
-	// functions of the TU id), so the per-hop path hashes once per TU
-	// instead of twice per hop.
-	pre  [32]byte
-	hash [32]byte
+	// pre is the TU's HTLC preimage, a pure function of the TU id, derived
+	// when the TU starts; its hash is htlc.Lock.Hash. The recipient's
+	// reveal hashes it once more at settlement, and each hop then compares
+	// that hash with the lock instead of running SHA-256 itself.
+	pre [32]byte
 }
+
+// Fire forwards the TU over its next hop.
+func (tu *tuRun) Fire() { tu.tx.net.advanceTU(tu) }
 
 // onArrival is the entry point for a generated payment: it models the
 // route-computation service time (at the sender for source routing, at the
@@ -113,9 +125,11 @@ func (n *Network) dispatch(tx workload.Tx) {
 		return
 	}
 	run := &txRun{
+		net:   n,
 		tx:    tx,
 		pair:  pairKey{tx.Sender, tx.Recipient},
 		paths: paths,
+		live:  make([]*tuRun, 0, len(allocs)),
 	}
 	n.txState[tx.ID] = run
 	n.registerTx(run)
@@ -147,26 +161,35 @@ func (n *Network) dispatch(tx workload.Tx) {
 	}
 
 	run.remaining = len(allocs)
-	for _, a := range allocs {
-		tu := &tuRun{
+	// One slab holds the payment's TUs and one their hop states, with room
+	// for the longest planned path per TU.
+	maxHops := 0
+	for _, p := range paths {
+		maxHops = max(maxHops, p.Len())
+	}
+	tus := make([]tuRun, len(allocs))
+	states := make([]htlc.State, len(allocs)*maxHops)
+	for i, a := range allocs {
+		tu := &tus[i]
+		*tu = tuRun{
 			id:      n.nextTUID,
 			tx:      run,
 			pathIdx: a.PathIdx,
 			value:   a.Value,
+			htlc:    htlc.NewHops(states[i*maxHops : i*maxHops : (i+1)*maxHops]),
 		}
 		n.nextTUID++
-		if rateControlled {
-			run.pending = append(run.pending, tu)
-		} else {
+		if !rateControlled {
 			tu.path = paths[tu.pathIdx]
 			n.startTU(tu)
 		}
 	}
 	if rateControlled {
+		run.pending = tus
 		n.drainPending(run)
 	}
 	// Deadline watchdog.
-	ev, err := n.engine.Schedule(tx.Deadline, 0, func() { n.onDeadline(run) })
+	ev, err := n.engine.ScheduleHandler(tx.Deadline, 0, run)
 	if err != nil {
 		panic(err)
 	}
@@ -184,7 +207,7 @@ func (n *Network) drainPending(run *txRun) {
 		return
 	}
 	for len(run.pending) > 0 {
-		tu := run.pending[0]
+		tu := &run.pending[0]
 		i := rc.PickPath(tu.value)
 		if i < 0 {
 			return // every path window- or budget-blocked; retried on tick/ack
@@ -201,9 +224,12 @@ func (n *Network) drainPending(run *txRun) {
 func (n *Network) startTU(tu *tuRun) {
 	tu.liveIdx = len(tu.tx.live)
 	tu.tx.live = append(tu.tx.live, tu)
-	tu.advance = func() { n.advanceTU(tu) }
 	tu.pre = htlc.NewPreimage(tu.id)
-	tu.hash = htlc.LockHash(tu.pre)
+	lock, err := htlc.NewLock(htlc.LockHash(tu.pre), tu.value, tu.tx.tx.Deadline)
+	if err != nil {
+		panic(err) // value > 0 by construction
+	}
+	tu.htlc.Lock = lock
 	n.metrics.AddHandle(n.mh.tuSent, 1)
 	n.advanceTU(tu)
 }
@@ -288,17 +314,9 @@ func (n *Network) lockAndHop(tu *tuRun, ch *channel.Channel, dir channel.Directi
 		return
 	}
 	n.touchChannel(ch.Edge) // the lock consumed processing-rate budget
-	if tu.chain == nil {
-		tu.chain = make([]htlc.Contract, 0, len(tu.path.Edges))
-	}
-	contract, err := htlc.NewContract(tu.hash, tu.value, tu.tx.tx.Deadline)
-	if err != nil {
-		panic(err) // value > 0 by construction
-	}
-	tu.chain = append(tu.chain, contract)
-	tu.lockedThrough++
+	tu.htlc.Offer()
 	tu.hop++
-	if _, err := n.engine.After(n.cfg.HopDelay, 3, tu.advance); err != nil {
+	if _, err := n.engine.AfterHandler(n.cfg.HopDelay, 3, tu); err != nil {
 		panic(err)
 	}
 }
@@ -316,10 +334,11 @@ func (n *Network) completeTU(tu *tuRun) {
 	tu.done = true
 	tu.tx.removeLive(tu)
 	now := n.engine.Now()
-	pre := tu.pre
+	// The recipient reveals the preimage, hashed once for every hop's check.
+	revealed := htlc.Reveal(tu.pre)
 	// Settle HTLCs recipient-backwards, moving funds on each channel.
-	for i := tu.lockedThrough - 1; i >= 0; i-- {
-		if err := tu.chain[i].Settle(pre, now); err != nil {
+	for i := tu.htlc.Len() - 1; i >= 0; i-- {
+		if err := tu.htlc.Settle(i, revealed, now); err != nil {
 			// The deadline watchdog fires strictly at Deadline with higher
 			// priority, so an expired contract here means the TU raced it;
 			// treat as abort.
@@ -349,7 +368,7 @@ func (n *Network) completeTU(tu *tuRun) {
 // watchdog and the release event are mutually idempotent via tu.done.
 func (n *Network) holdTU(tu *tuRun) {
 	n.metrics.AddHandle(n.mh.tuHeld, 1)
-	n.metrics.AddHandle(n.mh.tuHeldValue, tu.value*float64(tu.lockedThrough))
+	n.metrics.AddHandle(n.mh.tuHeldValue, tu.value*float64(tu.htlc.Len()))
 	release := n.engine.Now() + tu.tx.tx.Hold
 	if release > tu.tx.tx.Deadline {
 		release = tu.tx.tx.Deadline
@@ -371,15 +390,16 @@ func (n *Network) abortTU(tu *tuRun, reason string) {
 		delete(n.queuedIndex, tu.queued)
 		tu.queued = nil
 	}
-	n.abortLockedHops(tu, tu.lockedThrough)
+	n.abortLockedHops(tu, tu.htlc.Len())
 	n.resolveTU(tu, false, reason)
 }
 
-// abortLockedHops refunds the first `through` locked hops.
+// abortLockedHops refunds the first `through` locked hops, failing their
+// pending contracts, and empties the TU's contract chain.
 func (n *Network) abortLockedHops(tu *tuRun, through int) {
-	for i := 0; i < through && i < tu.lockedThrough; i++ {
-		if tu.chain[i].State() == htlc.Pending {
-			_ = tu.chain[i].Fail()
+	for i := 0; i < through && i < tu.htlc.Len(); i++ {
+		if tu.htlc.State(i) == htlc.Pending {
+			_ = tu.htlc.Fail(i)
 		}
 		eid := tu.path.Edges[i]
 		from := tu.path.Nodes[i]
@@ -390,7 +410,7 @@ func (n *Network) abortLockedHops(tu *tuRun, through int) {
 		}
 		n.drainQueue(ch, dir) // the forward direction regained funds
 	}
-	tu.lockedThrough = 0
+	tu.htlc.Reset()
 }
 
 // resolveTU updates rate control and the parent payment. When the retry

@@ -543,24 +543,28 @@ func (n *Network) CapitalizeHubs() {
 // holding the lowest node id. On a fresh connected network this reduces to
 // the whole node set.
 func (n *Network) placeHubs() ([]graph.NodeID, error) {
-	visited := make([]bool, n.g.NumNodes())
+	// Count each component's active nodes, then take the first largest in
+	// the order of the components' lowest active node.
+	label, count := n.g.Components()
+	active := make([]int, count)
+	for v, l := range label {
+		if !n.departed[graph.NodeID(v)] {
+			active[l]++
+		}
+	}
+	best := -1
+	for v, l := range label {
+		if !n.departed[graph.NodeID(v)] && (best < 0 || active[l] > active[best]) {
+			best = l
+		}
+	}
 	var eligible []graph.NodeID
-	for v := 0; v < n.g.NumNodes(); v++ {
-		id := graph.NodeID(v)
-		if n.departed[id] || visited[id] {
-			continue
-		}
-		dist := n.g.BFSHops(id)
-		var comp []graph.NodeID
-		for u, d := range dist {
-			uid := graph.NodeID(u)
-			if d >= 0 && !n.departed[uid] {
-				visited[u] = true
-				comp = append(comp, uid)
+	if best >= 0 {
+		eligible = make([]graph.NodeID, 0, active[best])
+		for v, l := range label {
+			if l == best && !n.departed[graph.NodeID(v)] {
+				eligible = append(eligible, graph.NodeID(v))
 			}
-		}
-		if len(comp) > len(eligible) {
-			eligible = comp
 		}
 	}
 	if len(eligible) == 0 {
@@ -607,10 +611,7 @@ func (n *Network) placeHubs() ([]graph.NodeID, error) {
 // assignClients maps every non-hub node to its Lemma-1 hub: the hub
 // minimizing ω·(sync burden) + ζ(hops).
 func (n *Network) assignClients() {
-	hopsFrom := make([][]int, len(n.hubs))
-	for i, h := range n.hubs {
-		hopsFrom[i] = n.g.BFSHops(h)
-	}
+	hopsFrom := placement.CandidateHops(n.g, n.hubs)
 	// Sync burden per hub: ω Σ_l δ(h, l).
 	burden := make([]float64, len(n.hubs))
 	for i := range n.hubs {

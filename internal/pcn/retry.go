@@ -91,16 +91,17 @@ func (n *Network) maybeRetryTU(tu *tuRun, reason string) bool {
 	}
 	tu.attempts++
 	n.metrics.AddHandle(n.mh.tuRetried, 1)
-	// Resurrect: abortTU already refunded the locked hops and detached the
-	// queue entry; re-arm the TU on the new path and rejoin the live set so
-	// the deadline watchdog can still unwind it during the backoff wait.
+	// Resurrect: abortTU already refunded the locked hops, emptied the
+	// contract chain (a longer new path outgrows its slab slot once) and
+	// detached the queue entry; re-arm the TU on the new path and rejoin the
+	// live set so the deadline watchdog can still unwind it during the
+	// backoff wait.
 	tu.done = false
-	tu.chain = tu.chain[:0]
 	tu.hop = 0
 	tu.path = path
 	tu.liveIdx = len(run.live)
 	run.live = append(run.live, tu)
-	if _, err := n.engine.Schedule(resend, 3, tu.advance); err != nil {
+	if _, err := n.engine.ScheduleHandler(resend, 3, tu); err != nil {
 		panic(err) // resend > now by construction
 	}
 	return true

@@ -88,6 +88,56 @@ func TestRetryRecoversNoFunds(t *testing.T) {
 	}
 }
 
+// splitShortestPolicy is the shortest-path baseline with every payment split
+// into three equal TUs on its one path, so one payment's TUs share a slab.
+type splitShortestPolicy struct{ shortestPathPolicy }
+
+func (p splitShortestPolicy) Plan(n *Network, tx workload.Tx) ([]graph.Path, []Allocation, error) {
+	paths, allocs, err := p.shortestPathPolicy.Plan(n, tx)
+	if len(allocs) == 0 {
+		return paths, allocs, err
+	}
+	third := Allocation{PathIdx: 0, Value: tx.Value / 3}
+	return paths, []Allocation{third, third, third}, err
+}
+
+// TestRetryOntoLongerPathOutgrowsSlab: a payment's TUs keep their hop
+// states in one slab, a slot per TU sized for the longest planned path (2
+// hops on detourGraph). Three 4-token TUs take the short route; the first
+// drains the 5-token hop, the other two die there with no_funds and retry
+// onto the 3-hop detour, outgrowing their slots. Both must still settle
+// every hop, next to a sibling that settled in its own slot, with funds
+// conserved.
+func TestRetryOntoLongerPathOutgrowsSlab(t *testing.T) {
+	cfg := NewConfig(SchemeShortestPath)
+	cfg.Policy = splitShortestPolicy{shortestPathPolicy{basePolicy{SchemeShortestPath}}}
+	cfg.Retry = reliability.NewConfig()
+	n, err := NewNetwork(detourGraph(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := detourTrace[0]
+	tx.Value = 12
+	res, err := n.Run([]workload.Tx{tx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != 1 {
+		t.Fatalf("payment did not complete: %+v", res)
+	}
+	if res.RetryAttempts != 2 || res.RetryRecovered != 2 || res.RetryExhausted != 0 {
+		t.Fatalf("retry counters = %d/%d/%d, want 2 attempts, 2 recovered, 0 exhausted",
+			res.RetryAttempts, res.RetryRecovered, res.RetryExhausted)
+	}
+	if err := n.CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+	// The store vouched for 2 short-route hops and twice 3 detour hops.
+	if st := n.ReliabilityStats(); st.Failures != 2 || st.Successes != 8 {
+		t.Fatalf("store stats = %+v, want 2 failures, 8 successes", st)
+	}
+}
+
 // TestRetryExhaustsWhenEveryRouteFails pins the bounded-loop endgame: both
 // diamond routes are underfunded at the far hop, the first retry finds the
 // second route (avoiding the failed hop), and the second re-plan is boxed in

@@ -44,20 +44,31 @@ func (n *Network) accessPath(from, to graph.NodeID) (graph.Path, bool) {
 	return n.unitShortestPath(from, to)
 }
 
-// concatPaths joins a→b, b→c, c→d walks sharing their junction nodes.
+// concatPaths joins a→b, b→c, c→d walks sharing their junction nodes. The
+// joined path's slices are allocated once, at their final length.
 func concatPaths(parts ...graph.Path) graph.Path {
+	nodes, edges := 1, 0
+	for _, p := range parts {
+		if len(p.Nodes) > 0 {
+			nodes += len(p.Nodes) - 1
+			edges += len(p.Edges)
+		}
+	}
 	var out graph.Path
 	for _, p := range parts {
 		if len(p.Nodes) == 0 {
 			continue
 		}
-		if len(out.Nodes) == 0 {
-			out.Nodes = append(out.Nodes, p.Nodes...)
-			out.Edges = append(out.Edges, p.Edges...)
-			continue
+		if out.Nodes == nil {
+			out.Nodes = make([]graph.NodeID, 0, nodes)
+			if edges > 0 {
+				out.Edges = make([]graph.EdgeID, 0, edges)
+			}
+		} else {
+			// Junction node appears at the end of out and the start of p.
+			p.Nodes = p.Nodes[1:]
 		}
-		// Junction node appears at the end of out and the start of p.
-		out.Nodes = append(out.Nodes, p.Nodes[1:]...)
+		out.Nodes = append(out.Nodes, p.Nodes...)
 		out.Edges = append(out.Edges, p.Edges...)
 	}
 	return out

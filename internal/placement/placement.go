@@ -102,11 +102,16 @@ func NewInstanceFromGraph(g *graph.Graph, clients, candidates []graph.NodeID, om
 
 // CandidateHops runs one BFS per candidate: hops[i][v] is the hop count from
 // candidates[i] to node v, -1 when v is unreachable. One such matrix covers
-// every cost matrix of an instance, for any ω.
+// every cost matrix of an instance, for any ω. The rows share one backing
+// array and the searches one queue.
 func CandidateHops(g *graph.Graph, candidates []graph.NodeID) [][]int {
+	n := g.NumNodes()
+	flat := make([]int, len(candidates)*n)
 	hops := make([][]int, len(candidates))
+	var queue []graph.NodeID
 	for i, c := range candidates {
-		hops[i] = g.BFSHops(c)
+		hops[i] = flat[i*n : (i+1)*n : (i+1)*n]
+		queue = g.BFSHopsInto(hops[i], c, queue)
 	}
 	return hops
 }

@@ -69,7 +69,7 @@ func TestReliabilityAllocs(t *testing.T) {
 	if unreachable >= 0 {
 		t.Fatalf("penalty_overlay_sp_2000: query %d found no path", unreachable)
 	}
-	const pin = 8
+	const pin = 2
 	ceiling := math.Ceil(pin * 1.2)
 	t.Logf("penalty_overlay_sp_2000: %v allocs/query (pin %v, ceiling %v)", overlay, pin, ceiling)
 	if overlay > ceiling {

@@ -105,7 +105,9 @@ func SplitDemand(value, minTU, maxTU float64) ([]float64, error) {
 	if value <= maxTU {
 		return []float64{value}, nil
 	}
-	var tus []float64
+	// Room for a typical split, so most payments allocate once. The value
+	// (a request parameter in splicerd) does not size it.
+	tus := make([]float64, 0, 8)
 	remaining := value
 	for remaining > maxTU {
 		tus = append(tus, maxTU)

@@ -258,19 +258,24 @@ func DelayOverhead(base Spec, omegas []float64, opts RunOptions) ([]DelayOverhea
 }
 
 // meanPairwiseHops estimates the mean shortest-path hop count by sampling.
+// Each sample draws both endpoints, then searches only until the target.
 func meanPairwiseHops(g *graph.Graph, src *rng.Source, samples int) (float64, error) {
 	if g.NumNodes() < 2 {
 		return 0, fmt.Errorf("scenario: graph too small")
 	}
+	pf := graph.NewPathFinder(g)
 	total, count := 0.0, 0
 	for i := 0; i < samples; i++ {
 		u := graph.NodeID(src.IntN(g.NumNodes()))
-		dist := g.BFSHops(u)
 		v := graph.NodeID(src.IntN(g.NumNodes()))
-		if u == v || dist[v] < 0 {
+		if u == v {
 			continue
 		}
-		total += float64(dist[v])
+		d := pf.UnitHops(u, v)
+		if d < 0 {
+			continue
+		}
+		total += float64(d)
 		count++
 	}
 	if count == 0 {

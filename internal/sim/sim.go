@@ -15,7 +15,10 @@
 // their deadline watchdogs do not carry the corpses to their fire times.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Event is a cancelable value handle to a scheduled event. The zero value
 // is inert: Cancel on it is a no-op. Handles stay safe after the event has
@@ -35,16 +38,30 @@ func (ev Event) Cancel() {
 	}
 }
 
+// Handler is an event's action as a method. An object that fires many
+// events over its life (a transaction unit's per-hop timer) implements Fire
+// once and schedules itself, instead of allocating a closure to capture its
+// state.
+type Handler interface{ Fire() }
+
+// funcAction adapts Schedule's plain function to Handler. A func value is
+// one pointer, so the conversion allocates nothing.
+type funcAction func()
+
+func (f funcAction) Fire() { f() }
+
 // slot is one arena entry. A slot is live while its event is queued; on
 // release its generation bumps (invalidating outstanding handles) and the
-// index returns to the free list for reuse by a future Schedule.
+// index returns to the free list for reuse by a future Schedule. A queued
+// event is canceled iff its action is nil (scheduling rejects a nil
+// action). Keep it at 40 bytes: the heap's sifts walk slots by index, and a
+// 48-byte slot measurably slowed the engine benchmarks.
 type slot struct {
 	time     float64
 	seq      uint64
-	action   func()
-	priority int
+	action   Handler
+	priority int32
 	gen      uint32
-	canceled bool
 }
 
 // Engine is a single-threaded discrete-event simulator.
@@ -170,11 +187,10 @@ func (e *Engine) cancel(idx int32, gen uint32) {
 		return
 	}
 	s := &e.slots[idx]
-	if s.gen != gen || s.canceled {
+	if s.gen != gen || s.action == nil {
 		return
 	}
-	s.canceled = true
-	s.action = nil // release the closure now; the corpse may linger awhile
+	s.action = nil // cancel, and release the action now; the corpse may linger awhile
 	e.nCanceled++
 	if e.nCanceled*2 > len(e.heap) {
 		e.compact()
@@ -188,8 +204,7 @@ func (e *Engine) cancel(idx int32, gen uint32) {
 func (e *Engine) compact() {
 	keep := e.heap[:0]
 	for _, idx := range e.heap {
-		if e.slots[idx].canceled {
-			e.slots[idx].canceled = false
+		if e.slots[idx].action == nil {
 			e.release(idx)
 		} else {
 			keep = append(keep, idx)
@@ -208,11 +223,23 @@ func (e *Engine) compact() {
 // handle for cancellation. The handle is a value: storing it does not pin
 // the event's memory, and the zero Event is a valid "no event" sentinel.
 func (e *Engine) Schedule(t float64, priority int, action func()) (Event, error) {
+	var h Handler
+	if action != nil {
+		h = funcAction(action)
+	}
+	return e.ScheduleHandler(t, priority, h)
+}
+
+// ScheduleHandler is Schedule with the action given as a Handler.
+func (e *Engine) ScheduleHandler(t float64, priority int, action Handler) (Event, error) {
 	if t < e.now {
 		return Event{}, fmt.Errorf("sim: schedule at %v before now %v", t, e.now)
 	}
 	if action == nil {
 		return Event{}, fmt.Errorf("sim: nil action")
+	}
+	if priority < math.MinInt32 || priority > math.MaxInt32 {
+		return Event{}, fmt.Errorf("sim: priority %d out of the int32 range", priority)
 	}
 	var idx int32
 	if n := len(e.free); n > 0 {
@@ -224,10 +251,9 @@ func (e *Engine) Schedule(t float64, priority int, action func()) (Event, error)
 	}
 	s := &e.slots[idx]
 	s.time = t
-	s.priority = priority
+	s.priority = int32(priority)
 	s.seq = e.seq
 	s.action = action
-	s.canceled = false
 	e.seq++
 	e.heap = append(e.heap, idx)
 	e.siftUp(len(e.heap) - 1)
@@ -237,6 +263,11 @@ func (e *Engine) Schedule(t float64, priority int, action func()) (Event, error)
 // After queues action delay seconds from now.
 func (e *Engine) After(delay float64, priority int, action func()) (Event, error) {
 	return e.Schedule(e.now+delay, priority, action)
+}
+
+// AfterHandler is After with the action given as a Handler.
+func (e *Engine) AfterHandler(delay float64, priority int, action Handler) (Event, error) {
+	return e.ScheduleHandler(e.now+delay, priority, action)
 }
 
 // Every schedules action at now+interval, then every interval seconds until
@@ -287,9 +318,8 @@ func (e *Engine) Run(horizon float64) float64 {
 		// next Run rather than being popped and dropped.
 		top := e.heap[0]
 		s := &e.slots[top]
-		if s.canceled {
+		if s.action == nil { // canceled
 			e.popHead()
-			s.canceled = false
 			e.nCanceled--
 			e.release(top)
 			continue
@@ -309,7 +339,7 @@ func (e *Engine) Run(horizon float64) float64 {
 		e.release(top)
 		e.now = t
 		e.nRun++
-		action()
+		action.Fire()
 	}
 	if e.now < horizon && len(e.heap) == 0 {
 		e.now = horizon

@@ -340,3 +340,55 @@ func TestRunNeverRewindsTime(t *testing.T) {
 		t.Fatal("Schedule accepted a timestamp in the executed past")
 	}
 }
+
+// recorder is a Handler that logs its firings.
+type recorder struct {
+	name  string
+	order *[]string
+}
+
+func (r *recorder) Fire() { *r.order = append(*r.order, r.name) }
+
+// TestHandlerEvents: Handler events take the same (time, priority, seq)
+// order as func events, cancel like them, and scheduling rejects a nil
+// Handler and a priority the slot cannot hold.
+func TestHandlerEvents(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	h := func(name string) Handler { return &recorder{name, &order} }
+	if _, err := e.ScheduleHandler(1, 1, h("handler-prio1")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Schedule(1, 0, func() { order = append(order, "func-prio0") }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.AfterHandler(1, 0, h("handler-prio0")); err != nil {
+		t.Fatal(err)
+	}
+	ev, err := e.ScheduleHandler(0.5, 0, h("canceled"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev.Cancel()
+	if _, err := e.ScheduleHandler(1, math.MinInt32, h("handler-min")); err != nil {
+		t.Fatal(err)
+	}
+	e.Run(2)
+	want := []string{"handler-min", "func-prio0", "handler-prio0", "handler-prio1"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+	if _, err := e.ScheduleHandler(3, 0, nil); err == nil {
+		t.Fatal("nil Handler allowed")
+	}
+	if big := int64(math.MaxInt32) + 1; int64(int(big)) == big { // 64-bit int
+		if _, err := e.Schedule(3, int(big), func() {}); err == nil {
+			t.Fatal("priority beyond int32 allowed")
+		}
+	}
+}
