@@ -207,13 +207,26 @@ func BenchmarkFigScale(b *testing.B) {
 // path-computation layer and one simulation step) for the ablation story in
 // DESIGN.md.
 
-// BenchmarkPathFinder measures repeated shortest-path queries on one reused
-// finder — the simulator's hot planning path after the PR-2 rewrite.
-func BenchmarkPathFinder(b *testing.B) {
-	g, err := BuildNetwork(NetworkSpec{Seed: 6, Nodes: 2000})
+// benchGraph builds the Watts–Strogatz topology of a spec with the given
+// seed and size (the trace it also builds is discarded).
+func benchGraph(b *testing.B, seed uint64, nodes int) *Graph {
+	b.Helper()
+	spec := Spec{
+		Seed:     seed,
+		Topology: TopologySpec{Type: "watts-strogatz", Nodes: nodes},
+		Workload: WorkloadSpec{Type: "synthetic", Rate: 10, Duration: 1},
+	}
+	g, _, err := spec.Build()
 	if err != nil {
 		b.Fatal(err)
 	}
+	return g
+}
+
+// BenchmarkPathFinder measures repeated shortest-path queries on one reused
+// finder — the simulator's hot planning path after the PR-2 rewrite.
+func BenchmarkPathFinder(b *testing.B) {
+	g := benchGraph(b, 6, 2000)
 	pf := graph.NewPathFinder(g)
 	n := g.NumNodes()
 	b.ResetTimer()
@@ -230,10 +243,7 @@ func BenchmarkPathFinder(b *testing.B) {
 // BenchmarkRouteCache measures the per-payment cost of a cached route
 // lookup — the steady-state planning cost for repeat sender/recipient pairs.
 func BenchmarkRouteCache(b *testing.B) {
-	g, err := BuildNetwork(NetworkSpec{Seed: 7, Nodes: 500})
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := benchGraph(b, 7, 500)
 	c := pcn.NewRouteCache()
 	pf := graph.NewPathFinder(g)
 	n := g.NumNodes()
@@ -258,10 +268,7 @@ func BenchmarkRouteCache(b *testing.B) {
 }
 
 func BenchmarkPlacementExact10(b *testing.B) {
-	g, err := BuildNetwork(NetworkSpec{Seed: 1, Nodes: 100})
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := benchGraph(b, 1, 100)
 	cands := TopDegreeNodes(g, 10)
 	candSet := map[NodeID]bool{}
 	for _, c := range cands {
@@ -283,10 +290,7 @@ func BenchmarkPlacementExact10(b *testing.B) {
 }
 
 func BenchmarkPlacementApprox24(b *testing.B) {
-	g, err := BuildNetwork(NetworkSpec{Seed: 2, Nodes: 1000})
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := benchGraph(b, 2, 1000)
 	cands := TopDegreeNodes(g, 24)
 	candSet := map[NodeID]bool{}
 	for _, c := range cands {
@@ -308,21 +312,14 @@ func BenchmarkPlacementApprox24(b *testing.B) {
 }
 
 func BenchmarkSimulationSplicer100(b *testing.B) {
+	spec := Spec{
+		Seed:     3,
+		Topology: TopologySpec{Type: "watts-strogatz", Nodes: 100},
+		Workload: WorkloadSpec{Type: "synthetic", Rate: 100, Duration: 4, ZipfSkew: 0.8, CirculationFraction: 0.2},
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g, err := BuildNetwork(NetworkSpec{Seed: 3, Nodes: 100})
-		if err != nil {
-			b.Fatal(err)
-		}
-		trace, err := GenerateWorkload(g, WorkloadSpec{Seed: 4, Rate: 100, Duration: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim, err := NewSimulation(g, Splicer)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sim.Run(trace); err != nil {
+		if _, err := spec.RunScheme(Splicer); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -34,6 +34,14 @@ import (
 	"github.com/splicer-pcn/splicer/internal/workload"
 )
 
+// Connection limits: the API is GET-only with short query strings, so a
+// client that trickles its headers or sends kilobytes of them is cut off.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+	maxHeaderBytes    = 16 << 10
+)
+
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "HTTP listen address")
@@ -98,7 +106,13 @@ func run(addr string, nodes int, topo string, seed uint64, workers, queueDepth, 
 		}()
 	}
 
-	httpSrv := &http.Server{Addr: addr, Handler: s.Handler()}
+	httpSrv := &http.Server{
+		Addr:              addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- httpSrv.ListenAndServe() }()
 

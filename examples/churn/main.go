@@ -15,35 +15,29 @@ import (
 	splicer "github.com/splicer-pcn/splicer"
 )
 
+// churnSpec is an 80-node network under aggressive churn: ~2 joins, 2
+// leaves, 2 channel opens, 2 closes and 2 top-ups per second, so a sizable
+// fraction of the network turns over during the 8 s run. Demand, depletion
+// repair and hotspot drift follow the dynamics defaults. replaceEvery re-runs
+// hub placement every that many seconds (0: placement at startup only).
+func churnSpec(replaceEvery float64) splicer.Spec {
+	return splicer.Spec{
+		Seed:     7,
+		Scheme:   "Splicer",
+		Topology: splicer.TopologySpec{Type: "watts-strogatz", Nodes: 80},
+		Workload: splicer.WorkloadSpec{Type: "synthetic", Rate: 80, Duration: 8, ZipfSkew: 0.8},
+		Dynamics: &splicer.DynamicsSpec{ChurnRate: 2, ReplaceInterval: replaceEvery},
+	}
+}
+
 func main() {
 	run := func(replaceEvery float64) splicer.Result {
-		g, err := splicer.BuildNetwork(splicer.NetworkSpec{
-			Seed: 7, Nodes: 80,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		sim, err := splicer.NewDynamicSimulation(g, splicer.Splicer, splicer.DynamicsSpec{
-			Seed:    9,
-			Horizon: 8,
-			// Aggressive churn: ~2 joins, 2 leaves, 2 channel opens, 2 closes
-			// and 2 top-ups per second on an 80-node network — over the run,
-			// a sizable fraction of the network turns over.
-			ChurnRate:         2,
-			Rate:              80,
-			RebalanceInterval: 1,
-			ReplaceInterval:   replaceEvery,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := sim.Run()
+		res, err := churnSpec(replaceEvery).Run()
 		if err != nil {
 			log.Fatal(err)
 		}
 		return res
 	}
-
 	static := run(0)
 	online := run(1)
 

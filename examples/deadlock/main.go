@@ -15,40 +15,33 @@ import (
 	splicer "github.com/splicer-pcn/splicer"
 )
 
-func main() {
-	run := func(scheme splicer.Scheme) splicer.Result {
-		// A tight-channel network (20% of Lightning scale) where the
-		// circulation pattern dominates the workload: the exact conditions
-		// of §II-B.
-		g, err := splicer.BuildNetwork(splicer.NetworkSpec{
-			Seed: 7, Nodes: 50, ChannelScale: 0.2,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		trace, err := splicer.GenerateWorkload(g, splicer.WorkloadSpec{
-			Seed:                8,
+// deadlockSpec is a tight-channel network (20% of Lightning scale) where the
+// circulation pattern dominates the workload: the exact conditions of §II-B.
+func deadlockSpec() splicer.Spec {
+	return splicer.Spec{
+		Seed:     7,
+		Topology: splicer.TopologySpec{Type: "watts-strogatz", Nodes: 50, ChannelScale: 0.2},
+		Workload: splicer.WorkloadSpec{
+			Type:                "synthetic",
 			Rate:                60,
 			Duration:            6,
 			ValueScale:          1.5,
+			ZipfSkew:            0.8,
 			CirculationFraction: 0.5, // half the trace is the Fig. 1(b) cycle
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		sim, err := splicer.NewSimulation(g, scheme)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := sim.Run(trace)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return res
+		},
 	}
+}
 
-	naive := run(splicer.ShortestPath)
-	spl := run(splicer.Splicer)
+func main() {
+	spec := deadlockSpec()
+	naive, err := spec.RunScheme(splicer.ShortestPath)
+	if err != nil {
+		log.Fatal(err)
+	}
+	spl, err := spec.RunScheme(splicer.Splicer)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("workload: 50% circulation at the imbalanced Fig. 1(b) rates, tight channels")
 	fmt.Printf("%-22s %10s %12s %18s\n", "scheme", "TSR", "throughput", "drained channels")

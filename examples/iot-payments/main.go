@@ -16,66 +16,61 @@ import (
 )
 
 func main() {
-	const nodes = 2000
-
-	build := func() (*splicer.Graph, []splicer.Tx) {
-		g, err := splicer.BuildNetwork(splicer.NetworkSpec{Seed: 11, Nodes: nodes})
-		if err != nil {
-			log.Fatal(err)
-		}
-		trace, err := splicer.GenerateWorkload(g, splicer.WorkloadSpec{
-			Seed:       12,
-			Rate:       250,
-			Duration:   6,
-			ValueScale: 0.5, // IoT micro-payments
-			ZipfSkew:   1.0, // a few gateways talk a lot
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return g, trace
+	spec := splicer.Spec{
+		Seed:     11,
+		Topology: splicer.TopologySpec{Type: "watts-strogatz", Nodes: 2000},
+		Workload: splicer.WorkloadSpec{
+			Type:                "synthetic",
+			Rate:                250,
+			Duration:            6,
+			ValueScale:          0.5, // IoT micro-payments
+			ZipfSkew:            1.0, // a few gateways talk a lot
+			CirculationFraction: 0.2,
+		},
+		// Splicer places hubs with the balance-cost optimizer over the 20
+		// best-connected candidates.
+		Routing: splicer.RoutingSpec{HubCandidates: 20, PlacementOmega: 0.05},
 	}
 
-	// Splicer: hubs placed by the balance-cost optimizer over 20
-	// candidates.
-	g, trace := build()
-	sim, err := splicer.NewSimulation(g, splicer.Splicer,
-		splicer.WithHubCandidates(20),
-		splicer.WithPlacementOmega(0.05),
-	)
+	// The placement Splicer computes at startup, solved standalone over the
+	// same graph: candidates are the top-degree nodes, clients the rest.
+	g, _, err := spec.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := sim.Run(trace)
+	candidates := splicer.TopDegreeNodes(g, spec.Routing.HubCandidates)
+	candSet := map[splicer.NodeID]bool{}
+	for _, c := range candidates {
+		candSet[c] = true
+	}
+	var clients []splicer.NodeID
+	for i := 0; i < g.NumNodes(); i++ {
+		if !candSet[splicer.NodeID(i)] {
+			clients = append(clients, splicer.NodeID(i))
+		}
+	}
+	plan, err := splicer.PlaceHubs(g, clients, candidates, spec.Routing.PlacementOmega)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	fmt.Printf("network: %d IoT clients, %d channels\n", nodes, g.NumEdges())
-	hubs := sim.Hubs()
-	fmt.Printf("hubs placed: %v\n", hubs)
+	fmt.Printf("network: %d IoT clients, %d channels\n", g.NumNodes(), g.NumEdges())
+	fmt.Printf("hubs placed: %v\n", plan.Hubs)
 	load := map[splicer.NodeID]int{}
-	for i := 0; i < nodes; i++ {
-		if h, ok := sim.HubOf(splicer.NodeID(i)); ok {
-			load[h]++
-		}
+	for _, h := range plan.AssignedHub {
+		load[h]++
 	}
-	for _, h := range hubs {
+	for _, h := range plan.Hubs {
 		fmt.Printf("  hub %4d manages %4d clients\n", h, load[h])
 	}
-	fmt.Printf("Splicer: TSR %.2f%%, throughput %.2f%%, mean delay %.0f ms\n",
-		100*res.TSR, 100*res.NormalizedThroughput, 1000*res.MeanDelay)
 
-	// Source routing on the same network/trace: each device computes.
-	g2, trace2 := build()
-	spider, err := splicer.NewSimulation(g2, splicer.Spider)
-	if err != nil {
-		log.Fatal(err)
+	// Hub routing against source routing on the same network and trace:
+	// under Spider each device computes its own routes.
+	for _, scheme := range []splicer.Scheme{splicer.Splicer, splicer.Spider} {
+		res, err := spec.RunScheme(scheme)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%-8s TSR %.2f%%, throughput %.2f%%, mean delay %.0f ms\n",
+			scheme.String()+":", 100*res.TSR, 100*res.NormalizedThroughput, 1000*res.MeanDelay)
 	}
-	res2, err := spider.Run(trace2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("Spider:  TSR %.2f%%, throughput %.2f%%, mean delay %.0f ms\n",
-		100*res2.TSR, 100*res2.NormalizedThroughput, 1000*res2.MeanDelay)
 }

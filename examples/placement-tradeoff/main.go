@@ -14,7 +14,14 @@ import (
 )
 
 func main() {
-	g, err := splicer.BuildNetwork(splicer.NetworkSpec{Seed: 21, Nodes: 100})
+	spec := splicer.Spec{
+		Seed:     21,
+		Topology: splicer.TopologySpec{Type: "watts-strogatz", Nodes: 100},
+		// Placement reads only the graph; Build still wants a valid
+		// workload, so ask for a one-second trace and discard it.
+		Workload: splicer.WorkloadSpec{Type: "synthetic", Rate: 10, Duration: 1},
+	}
+	g, _, err := spec.Build()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 	"github.com/splicer-pcn/splicer/internal/workload"
 )
 
-// wsGraph builds the network splicer.BuildNetwork makes for seed and nodes:
+// wsGraph builds the topology a watts-strogatz Spec makes for seed and nodes:
 // a degree-4 Watts–Strogatz graph, rewiring 0.25, LN-calibrated channels.
 func wsGraph(t *testing.T, seed uint64, nodes int) *graph.Graph {
 	t.Helper()

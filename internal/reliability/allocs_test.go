@@ -14,7 +14,7 @@ import (
 // paths. The observation fold every TU resolution pays when retries are
 // armed must not allocate once the edge table is grown. A retry re-plan (a
 // Dijkstra through the penalty overlay on the 2000-node network
-// splicer.BuildNetwork makes for seed 6) must stay within ⌈pin × 1.2⌉
+// a watts-strogatz Spec makes for seed 6) must stay within ⌈pin × 1.2⌉
 // allocations per query, the pin being its count when the gate was set.
 // With the layer unarmed the store does not exist, so the retry-off path is
 // gated by internal/sim's and internal/graph's allocation tests instead.

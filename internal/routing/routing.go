@@ -96,8 +96,8 @@ func SelectPathsWith(pf *graph.PathFinder, src, dst graph.NodeID, k int, pt Path
 // single TU of that value, since payments cannot be padded). The paper sets
 // Min-TU = 1, Max-TU = 4.
 func SplitDemand(value, minTU, maxTU float64) ([]float64, error) {
-	if value <= 0 {
-		return nil, fmt.Errorf("routing: demand must be positive, got %v", value)
+	if !(value > 0) || math.IsInf(value, 1) {
+		return nil, fmt.Errorf("routing: demand must be positive and finite, got %v", value)
 	}
 	if minTU <= 0 || maxTU < minTU {
 		return nil, fmt.Errorf("routing: invalid TU bounds [%v, %v]", minTU, maxTU)

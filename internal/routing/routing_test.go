@@ -139,6 +139,16 @@ func TestSplitDemandValidation(t *testing.T) {
 	}
 }
 
+// TestSplitDemandRejectsNonFinite: +Inf would never leave the split loop
+// and NaN would come back as one NaN unit; both are errors.
+func TestSplitDemandRejectsNonFinite(t *testing.T) {
+	for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		if tus, err := SplitDemand(v, 1, 4); err == nil {
+			t.Fatalf("SplitDemand(%v) = %v, want an error", v, tus)
+		}
+	}
+}
+
 func TestPropertySplitDemand(t *testing.T) {
 	f := func(seed uint64) bool {
 		src := rng.New(seed)

@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 
@@ -34,6 +35,14 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// Per-request work is bounded when the request is parsed, before it reaches
+// a worker: a query asks for at most maxPaths paths (Table II's largest k is
+// 7), and /plan splits a value into at most maxPlanUnits transaction units.
+const (
+	maxPaths     = 32
+	maxPlanUnits = 4096
+)
+
 // parseRouteRequest reads src/dst/k/type query parameters.
 func parseRouteRequest(r *http.Request) (RouteRequest, error) {
 	q := r.URL.Query()
@@ -47,8 +56,8 @@ func parseRouteRequest(r *http.Request) (RouteRequest, error) {
 	}
 	req := RouteRequest{Src: graph.NodeID(src), Dst: graph.NodeID(dst), K: 1, Type: routing.KSP}
 	if ks := q.Get("k"); ks != "" {
-		if req.K, err = strconv.Atoi(ks); err != nil || req.K <= 0 {
-			return RouteRequest{}, errors.New("serve: k must be a positive integer")
+		if req.K, err = strconv.Atoi(ks); err != nil || req.K <= 0 || req.K > maxPaths {
+			return RouteRequest{}, fmt.Errorf("serve: k must be an integer in [1, %d]", maxPaths)
 		}
 	}
 	if ts := q.Get("type"); ts != "" {
@@ -57,6 +66,21 @@ func parseRouteRequest(r *http.Request) (RouteRequest, error) {
 		}
 	}
 	return req, nil
+}
+
+// parsePlanRequest reads a /plan query: the route parameters plus a value,
+// which must be positive, finite and at most maxPlanUnits units of maxTU.
+func parsePlanRequest(r *http.Request, maxTU float64) (RouteRequest, float64, error) {
+	req, err := parseRouteRequest(r)
+	if err != nil {
+		return RouteRequest{}, 0, err
+	}
+	limit := maxPlanUnits * maxTU
+	value, err := strconv.ParseFloat(r.URL.Query().Get("value"), 64)
+	if err != nil || !(value > 0) || value > limit {
+		return RouteRequest{}, 0, fmt.Errorf("serve: value must be a positive amount of at most %g", limit)
+	}
+	return req, value, nil
 }
 
 // requestContext applies the server's per-request deadline to an incoming
@@ -85,17 +109,12 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	req, err := parseRouteRequest(r)
+	cfg := s.net.Config()
+	req, value, err := parsePlanRequest(r, cfg.MaxTU)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	value, err := strconv.ParseFloat(r.URL.Query().Get("value"), 64)
-	if err != nil || value <= 0 {
-		httpError(w, http.StatusBadRequest, errors.New("serve: value must be a positive amount"))
-		return
-	}
-	cfg := s.net.Config()
 	units, err := routing.SplitDemand(value, cfg.MinTU, cfg.MaxTU)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)

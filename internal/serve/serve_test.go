@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"net/http/httptest"
 	"runtime"
@@ -426,6 +428,68 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 	if code, _ := get("/route?src=1&dst=2"); code != 503 {
 		t.Fatalf("post-shutdown /route = %d, want 503", code)
+	}
+}
+
+// TestRequestWorkIsBounded sends the requests that would make one query
+// unbounded work — a value that SplitDemand cannot finish splitting (Inf),
+// one that yields no JSON (NaN), a finite one that asks for 10^299 units,
+// and a Yen search for 10^9 paths — and expects each to be refused with a
+// 400 and a JSON error before it reaches a worker. The caps themselves
+// still answer.
+func TestRequestWorkIsBounded(t *testing.T) {
+	n := testNetwork(t, 17, 60)
+	s := NewServer(n, Options{Workers: 2})
+	defer s.Shutdown(context.Background())
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	get := func(path string) (int, []byte) {
+		t.Helper()
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+	for _, path := range []string{
+		"/plan?src=3&dst=27&value=Inf",
+		"/plan?src=3&dst=27&value=%2BInf",
+		"/plan?src=3&dst=27&value=NaN",
+		"/plan?src=3&dst=27&value=1e300",
+		"/plan?src=3&dst=27&value=1e400",
+		"/plan?src=3&dst=27&value=500&k=1000000000",
+		"/route?src=3&dst=27&k=1000000000",
+		fmt.Sprintf("/route?src=3&dst=27&k=%d", maxPaths+1),
+	} {
+		code, body := get(path)
+		var e struct {
+			Error string `json:"error"`
+		}
+		if code != 400 || json.Unmarshal(body, &e) != nil || e.Error == "" {
+			t.Errorf("%s = %d %q, want 400 with a JSON error", path, code, body)
+		}
+	}
+	if st := s.Stats(); st.Served != 0 {
+		t.Fatalf("refused requests reached the pool: served %d", st.Served)
+	}
+
+	limit := maxPlanUnits * n.Config().MaxTU
+	code, body := get(fmt.Sprintf("/plan?src=3&dst=27&k=%d&value=%g", maxPaths, limit))
+	if code != 200 {
+		t.Fatalf("/plan at both caps = %d %s", code, body)
+	}
+	var pr PlanResponse
+	if err := json.Unmarshal(body, &pr); err != nil {
+		t.Fatal(err)
+	}
+	if len(pr.Units) != maxPlanUnits || len(pr.Paths) == 0 {
+		t.Fatalf("/plan at both caps: %d units, %d paths", len(pr.Units), len(pr.Paths))
 	}
 }
 

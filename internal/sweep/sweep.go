@@ -2,7 +2,7 @@
 // on a bounded worker pool and aggregates the per-cell results into
 // mean/stddev/95%-CI summaries.
 //
-// Each cell materializes its own Graph, trace and Network via its Build
+// Each cell materializes its own Graph, trace and Network inside its Run
 // hook, so workers share no mutable state and a sweep is embarrassingly
 // parallel. Run returns results in cell order regardless of scheduling, and
 // Aggregate folds them in that fixed order, so a sweep's output is
@@ -15,13 +15,11 @@ import (
 	"runtime/debug"
 	"sync"
 
-	"github.com/splicer-pcn/splicer/internal/graph"
 	"github.com/splicer-pcn/splicer/internal/pcn"
-	"github.com/splicer-pcn/splicer/internal/workload"
 )
 
 // Cell is one simulation of a sweep grid. Scheme, Seed and the axis fields
-// label the cell for grouping; Build materializes the cell's private inputs.
+// label the cell for grouping; Run executes it.
 type Cell struct {
 	Scheme pcn.Scheme
 	Seed   uint64
@@ -32,16 +30,11 @@ type Cell struct {
 	Axis  string
 	X     float64
 	Label string
-	// Build returns a fresh graph, trace and config. It must not share
-	// mutable state with other cells: the returned graph is owned (and
-	// mutated) by the cell's Network.
-	Build func() (*graph.Graph, []workload.Tx, pcn.Config, error)
-	// Run, when set, replaces the default build→NewNetwork→Run pipeline
-	// entirely (Build is ignored). Dynamic-network cells use it to drive the
-	// network through a dynamics.Driver instead of a pre-generated trace.
-	// Like Build, it must not share mutable state with other cells.
-	// planners is the cell's share of the cores (see Run) and belongs in
-	// pcn.Config.Parallelism unless the cell's own spec pins a width.
+	// Run builds the cell's private graph, inputs and network and runs
+	// them. It must not share mutable state with other cells: workers call
+	// it concurrently. planners is the cell's share of the cores (see Run)
+	// and belongs in pcn.Config.Parallelism unless the cell's own spec pins
+	// a width.
 	Run func(planners int) (pcn.Result, error)
 }
 
@@ -54,9 +47,9 @@ type CellResult struct {
 
 // RunCell executes a single cell synchronously, as a process's only cell: it
 // may plan on every core (pcn.Config.Parallelism 0). A panic in the cell's
-// Build/Run hook (or anywhere downstream in its simulation) is recovered
-// into CellResult.Err — value and stack preserved — so one poisoned cell
-// fails in place instead of killing a whole sweep's process.
+// Run hook (or anywhere downstream in its simulation) is recovered into
+// CellResult.Err — value and stack preserved — so one poisoned cell fails
+// in place instead of killing a whole sweep's process.
 func RunCell(c Cell) CellResult { return runCell(c, 0) }
 
 func runCell(c Cell, planners int) (out CellResult) {
@@ -66,28 +59,11 @@ func runCell(c Cell, planners int) (out CellResult) {
 			out.Err = fmt.Errorf("sweep: cell panicked: %v\n%s", r, debug.Stack())
 		}
 	}()
-	if c.Run != nil {
-		out.Result, out.Err = c.Run(planners)
+	if c.Run == nil {
+		out.Err = fmt.Errorf("sweep: cell has no Run hook")
 		return out
 	}
-	if c.Build == nil {
-		out.Err = fmt.Errorf("sweep: cell has no Build or Run hook")
-		return out
-	}
-	g, trace, cfg, err := c.Build()
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = planners
-	}
-	n, err := pcn.NewNetwork(g, cfg)
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	out.Result, out.Err = n.Run(trace)
+	out.Result, out.Err = c.Run(planners)
 	return out
 }
 

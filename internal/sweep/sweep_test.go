@@ -14,18 +14,25 @@ import (
 	"github.com/splicer-pcn/splicer/internal/workload"
 )
 
-// testCell builds a small self-contained simulation cell.
+// testCell is a small self-contained simulation cell.
 func testCell(scheme pcn.Scheme, seed uint64, x float64) Cell {
+	return testCellWith(scheme, seed, x, nil)
+}
+
+// testCellWith is testCell with its pcn.Config passed through mutate (when
+// set) before the cell's share of the planners is applied, the way a spec's
+// routing block would set it.
+func testCellWith(scheme pcn.Scheme, seed uint64, x float64, mutate func(*pcn.Config)) Cell {
 	return Cell{
 		Scheme: scheme,
 		Seed:   seed,
 		Axis:   "value_scale",
 		X:      x,
-		Build: func() (*graph.Graph, []workload.Tx, pcn.Config, error) {
+		Run: func(planners int) (pcn.Result, error) {
 			src := rng.New(seed)
 			g, err := topology.WattsStrogatz(src.Split(1), 30, 4, 0.2, func() (float64, float64) { return 200, 200 })
 			if err != nil {
-				return nil, nil, pcn.Config{}, err
+				return pcn.Result{}, err
 			}
 			clients := make([]graph.NodeID, g.NumNodes())
 			for i := range clients {
@@ -36,11 +43,21 @@ func testCell(scheme pcn.Scheme, seed uint64, x float64) Cell {
 				ZipfSkew: 0.8, ValueScale: x, CirculationFraction: 0.2,
 			})
 			if err != nil {
-				return nil, nil, pcn.Config{}, err
+				return pcn.Result{}, err
 			}
 			cfg := pcn.NewConfig(scheme)
 			cfg.NumHubCandidates = 6
-			return g, trace, cfg, nil
+			if mutate != nil {
+				mutate(&cfg)
+			}
+			if cfg.Parallelism == 0 {
+				cfg.Parallelism = planners
+			}
+			n, err := pcn.NewNetwork(g, cfg)
+			if err != nil {
+				return pcn.Result{}, err
+			}
+			return n.Run(trace)
 		},
 	}
 }
@@ -58,7 +75,7 @@ func testGrid() []Cell {
 }
 
 // renderResults canonicalizes per-cell outcomes for byte-level comparison
-// (the Cell's Build closure is a pointer and must not participate).
+// (the Cell's Run closure is a pointer and must not participate).
 func renderResults(results []CellResult) string {
 	out := ""
 	for _, r := range results {
@@ -149,9 +166,7 @@ func TestStatsMath(t *testing.T) {
 // counted (not folded) by Aggregate.
 func TestErrorPropagation(t *testing.T) {
 	bad := Cell{Scheme: pcn.SchemeSplicer, Seed: 9, Axis: "value_scale", X: 1,
-		Build: func() (*graph.Graph, []workload.Tx, pcn.Config, error) {
-			return nil, nil, pcn.Config{}, fmt.Errorf("boom")
-		}}
+		Run: func(int) (pcn.Result, error) { return pcn.Result{}, fmt.Errorf("boom") }}
 	cells := []Cell{testCell(pcn.SchemeSplicer, 3, 1), bad}
 	results := Run(cells, 2)
 	if err := FirstErr(results); err == nil {
@@ -165,7 +180,7 @@ func TestErrorPropagation(t *testing.T) {
 		t.Fatalf("Seeds=%d Failed=%d, want 1/1", sums[0].Seeds, sums[0].Failed)
 	}
 	if RunCell(Cell{}).Err == nil {
-		t.Fatal("RunCell accepted a cell without Build")
+		t.Fatal("RunCell accepted a cell without a Run hook")
 	}
 }
 
@@ -213,13 +228,14 @@ func TestPoisonedCellDoesNotKillSweep(t *testing.T) {
 	}
 }
 
-// TestBuildPanicRecovered covers the Build-path panic (NewNetwork and the
-// simulation itself run under the same recover).
+// TestBuildPanicRecovered covers a lone cell (RunCell, not the pool) whose
+// hook panics while it builds its inputs: the panic value comes back as the
+// cell's error.
 func TestBuildPanicRecovered(t *testing.T) {
 	r := RunCell(Cell{Scheme: pcn.SchemeSplicer, Seed: 1, Axis: "poison", X: 1,
-		Build: func() (*graph.Graph, []workload.Tx, pcn.Config, error) { panic(fmt.Errorf("bad build")) }})
+		Run: func(int) (pcn.Result, error) { panic(fmt.Errorf("bad build")) }})
 	if r.Err == nil || !strings.Contains(r.Err.Error(), "bad build") {
-		t.Fatalf("Build panic not recovered into Err: %v", r.Err)
+		t.Fatalf("build panic not recovered into Err: %v", r.Err)
 	}
 }
 
@@ -269,20 +285,16 @@ func newPolicy(t *testing.T, scheme pcn.Scheme) pcn.SchemePolicy {
 func TestRunBudgetsPlanningWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 
-	// probe is a Build cell whose policy hands back the network the sweep
-	// built for it, so the test reads the pool width that network got.
+	// probe is a cell whose policy hands back the network the sweep built
+	// for it, so the test reads the pool width that network got.
 	probe := func(net **pcn.Network, mutate func(*pcn.Config)) Cell {
-		c := testCell(pcn.SchemeSpider, 3, 1)
-		build, policy := c.Build, newPolicy(t, pcn.SchemeSpider)
-		c.Build = func() (*graph.Graph, []workload.Tx, pcn.Config, error) {
-			g, trace, cfg, err := build()
+		policy := newPolicy(t, pcn.SchemeSpider)
+		return testCellWith(pcn.SchemeSpider, 3, 1, func(cfg *pcn.Config) {
 			cfg.Policy = spyPolicy{policy, net}
 			if mutate != nil {
-				mutate(&cfg)
+				mutate(cfg)
 			}
-			return g, trace, cfg, err
-		}
-		return c
+		})
 	}
 	hubLabels := func(cfg *pcn.Config) { cfg.RoutingOverride = pcn.RoutingHubLabels }
 	pinned := func(cfg *pcn.Config) { cfg.Parallelism = 3 }

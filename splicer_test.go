@@ -1,92 +1,75 @@
 package splicer
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
-	"time"
 )
 
-func buildSmall(t *testing.T) (*Graph, []Tx) {
-	t.Helper()
-	g, err := BuildNetwork(NetworkSpec{Seed: 5, Nodes: 60})
-	if err != nil {
-		t.Fatal(err)
+// smallSpec is a 60-node Watts–Strogatz cell with the paper's workload
+// shape (Zipf 0.8, 20 % circulation).
+func smallSpec() Spec {
+	return Spec{
+		Seed:     5,
+		Scheme:   "Splicer",
+		Topology: TopologySpec{Type: "watts-strogatz", Nodes: 60},
+		Workload: WorkloadSpec{Type: "synthetic", Rate: 40, Duration: 4, ZipfSkew: 0.8, CirculationFraction: 0.2},
 	}
-	trace, err := GenerateWorkload(g, WorkloadSpec{Seed: 6, Rate: 40, Duration: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g, trace
 }
 
 func TestBuildNetworkValidation(t *testing.T) {
-	if _, err := BuildNetwork(NetworkSpec{Nodes: 0}); err == nil {
+	spec := smallSpec()
+	spec.Topology.Nodes = 0
+	if _, _, err := spec.Build(); err == nil {
 		t.Fatal("zero nodes accepted")
 	}
 }
 
 func TestEndToEndPublicAPI(t *testing.T) {
-	g, trace := buildSmall(t)
-	sim, err := NewSimulation(g, Splicer,
-		WithPaths(4),
-		WithPathType("EDW"),
-		WithScheduler("LIFO"),
-		WithUpdateInterval(200*time.Millisecond),
-		WithHubCandidates(8),
-		WithPlacementOmega(0.5),
-	)
-	if err != nil {
-		t.Fatal(err)
+	spec := smallSpec()
+	spec.Routing = RoutingSpec{
+		NumPaths: 4, PathType: "EDW", Scheduler: "LIFO", UpdateTauMs: 200,
+		HubCandidates: 8, PlacementOmega: 0.5,
 	}
-	res, err := sim.Run(trace)
+	res, err := spec.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.TSR <= 0 || res.TSR > 1 {
 		t.Fatalf("TSR %v", res.TSR)
 	}
-	if len(sim.Hubs()) == 0 {
-		t.Fatal("no hubs")
-	}
-	if _, ok := sim.HubOf(sim.Hubs()[0]); ok {
-		t.Fatal("hub has a managing hub")
+	if res.Generated == 0 || res.Completed > res.Generated {
+		t.Fatalf("implausible counts: %+v", res)
 	}
 }
 
+// TestOptionValidation: every routing override with an invalid value is
+// rejected by Validate, which Run and Build call first.
 func TestOptionValidation(t *testing.T) {
-	g, _ := buildSmall(t)
-	cases := []Option{
-		WithPaths(0),
-		WithPathType("nope"),
-		WithScheduler("nope"),
-		WithUpdateInterval(0),
-		WithHubs(),
-		WithPlacementOmega(-1),
-		WithHubCandidates(0),
+	cases := []RoutingSpec{
+		{NumPaths: -1},
+		{PathType: "nope"},
+		{Scheduler: "nope"},
+		{UpdateTauMs: -1},
+		{PlacementOmega: -1},
+		{HubCandidates: -1},
+		{Override: "nope"},
 	}
-	for i, opt := range cases {
-		if _, err := NewSimulation(g.Clone(), Splicer, opt); err == nil {
-			t.Fatalf("case %d: invalid option accepted", i)
+	for i, r := range cases {
+		spec := smallSpec()
+		spec.Routing = r
+		if err := spec.Validate(); err == nil {
+			t.Fatalf("case %d: invalid routing %+v accepted", i, r)
 		}
 	}
 }
 
-func TestWithHubsOverride(t *testing.T) {
-	g, trace := buildSmall(t)
-	sim, err := NewSimulation(g, Splicer, WithHubs(2, 9))
+func TestPlaceHubsPublic(t *testing.T) {
+	g, _, err := smallSpec().Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hubs := sim.Hubs()
-	if len(hubs) != 2 || hubs[0] != 2 || hubs[1] != 9 {
-		t.Fatalf("hubs = %v", hubs)
-	}
-	if _, err := sim.Run(trace); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPlaceHubsPublic(t *testing.T) {
-	g, _ := buildSmall(t)
 	candidates := TopDegreeNodes(g, 6)
 	candSet := map[NodeID]bool{}
 	for _, c := range candidates {
@@ -123,11 +106,12 @@ func TestPlaceHubsPublic(t *testing.T) {
 }
 
 func TestGenerateWorkloadDefaults(t *testing.T) {
-	g, err := BuildNetwork(NetworkSpec{Seed: 1, Nodes: 30})
-	if err != nil {
-		t.Fatal(err)
+	spec := Spec{
+		Seed:     1,
+		Topology: TopologySpec{Type: "watts-strogatz", Nodes: 30},
+		Workload: WorkloadSpec{Type: "synthetic", Rate: 20, Duration: 2},
 	}
-	trace, err := GenerateWorkload(g, WorkloadSpec{Seed: 2, Rate: 20, Duration: 2})
+	_, trace, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,20 +123,73 @@ func TestGenerateWorkloadDefaults(t *testing.T) {
 }
 
 func TestSchemeComparisonViaPublicAPI(t *testing.T) {
-	g, trace := buildSmall(t)
-	results := map[string]Result{}
+	spec := smallSpec()
+	results := map[Scheme]Result{}
 	for _, scheme := range []Scheme{Splicer, Spider, A2L} {
-		sim, err := NewSimulation(g.Clone(), scheme)
+		res, err := spec.RunScheme(scheme)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.Run(trace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results[scheme.String()] = res
+		results[scheme] = res
 	}
-	if results["Splicer"].TSR < results["A2L"].TSR {
-		t.Fatalf("Splicer TSR %v below A2L %v", results["Splicer"].TSR, results["A2L"].TSR)
+	if results[Splicer].TSR < results[A2L].TSR {
+		t.Fatalf("Splicer TSR %v below A2L %v", results[Splicer].TSR, results[A2L].TSR)
+	}
+}
+
+func TestScenarioPublicAPI(t *testing.T) {
+	names := Names()
+	if len(names) < 18 {
+		t.Fatalf("Names returned %d entries: %v", len(names), names)
+	}
+	table, err := RunNamed("table1", -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(table.CSV(), "Splicer") {
+		t.Fatalf("table1 CSV unexpected:\n%s", table.CSV())
+	}
+	if _, err := RunNamed("figX", 1); err == nil {
+		t.Fatal("RunNamed accepted an unknown name")
+	}
+}
+
+func TestRunScenarioSpecFromJSON(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "spec.json")
+	spec := `{
+		"name": "tiny", "seed": 3, "scheme": "ShortestPath",
+		"topology": {"type": "erdos-renyi", "nodes": 25, "edge_prob": 0.2},
+		"workload": {"type": "synthetic", "rate": 20, "duration": 2}
+	}`
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSpec(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := loaded.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Generated == 0 || res.TSR < 0 || res.TSR > 1 {
+		t.Fatalf("spec run result implausible: %+v", res)
+	}
+}
+
+// TestExampleSpecsValidate loads every spec shipped under
+// examples/scenarios/, so a schema change cannot leave one unparseable.
+func TestExampleSpecsValidate(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("examples", "scenarios", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) < 2 {
+		t.Fatalf("found %d example specs, want at least 2", len(paths))
+	}
+	for _, path := range paths {
+		if _, err := LoadSpec(path); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
 	}
 }
