@@ -208,15 +208,15 @@ func BenchmarkFigScale(b *testing.B) {
 // DESIGN.md.
 
 // benchGraph builds the Watts–Strogatz topology of a spec with the given
-// seed and size (the trace it also builds is discarded).
+// seed and size.
 func benchGraph(b *testing.B, seed uint64, nodes int) *Graph {
 	b.Helper()
 	spec := Spec{
 		Seed:     seed,
 		Topology: TopologySpec{Type: "watts-strogatz", Nodes: nodes},
-		Workload: WorkloadSpec{Type: "synthetic", Rate: 10, Duration: 1},
+		Workload: WorkloadSpec{Type: "synthetic", Rate: 1, Duration: 1},
 	}
-	g, _, err := spec.Build()
+	g, err := spec.BuildGraph()
 	if err != nil {
 		b.Fatal(err)
 	}

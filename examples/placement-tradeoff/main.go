@@ -17,11 +17,11 @@ func main() {
 	spec := splicer.Spec{
 		Seed:     21,
 		Topology: splicer.TopologySpec{Type: "watts-strogatz", Nodes: 100},
-		// Placement reads only the graph; Build still wants a valid
-		// workload, so ask for a one-second trace and discard it.
-		Workload: splicer.WorkloadSpec{Type: "synthetic", Rate: 10, Duration: 1},
+		// Placement reads only the graph. BuildGraph generates no trace,
+		// but the spec must still name a valid workload.
+		Workload: splicer.WorkloadSpec{Type: "synthetic", Rate: 1, Duration: 1},
 	}
-	g, _, err := spec.Build()
+	g, err := spec.BuildGraph()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,9 +32,9 @@ type QueuedTU struct {
 	Deadline float64 // absolute sim time the parent payment expires
 	Enqueued float64 // when it entered this queue
 	Marked   bool    // congestion mark (queueing delay exceeded T)
-	// Resume is invoked when the TU is dequeued for another forwarding
-	// attempt.
-	Resume func()
+	// Owner is the forwarder's record of the TU, opaque to the channel: it
+	// leads whoever dequeues the entry back to the TU.
+	Owner any
 }
 
 // Scheduler orders a channel's waiting queue. Given the queue contents it

@@ -47,6 +47,7 @@ type Driver struct {
 	ranking  []graph.NodeID // active nodes in popularity order (rank 0 hottest)
 	zipf     *rng.Zipf
 	nextTxID int
+	arrivals arrivalProcess
 
 	applied     []Applied
 	replaceErrs int
@@ -77,6 +78,7 @@ func NewDriver(net *pcn.Network, src *rng.Source, cfg Config) (*Driver, error) {
 		driftSrc: src.Split(5),
 		values:   workload.NewTxValueDist(src.Split(6), cfg.ValueScale),
 	}
+	d.arrivals.d = d
 	// Initial popularity ranking: ascending node id, matching the static
 	// workload generator's client order.
 	for v := 0; v < net.Graph().NumNodes(); v++ {
@@ -135,30 +137,45 @@ func (d *Driver) Run() (pcn.Result, error) {
 			return pcn.Result{}, err
 		}
 	}
-	if err := d.scheduleNextArrival(0); err != nil {
+	if err := d.arrivals.scheduleAfter(0); err != nil {
 		return pcn.Result{}, err
 	}
 	return d.net.Execute(horizon)
 }
 
-// scheduleNextArrival extends the nonhomogeneous Poisson demand process by
+// arrivalProcess is the nonhomogeneous Poisson demand process, extended by
 // thinning: candidate arrivals come at the peak rate, and each is accepted
-// with probability λ(t)/λpeak.
-func (d *Driver) scheduleNextArrival(now float64) error {
-	peak := d.cfg.Rate * (1 + d.cfg.DiurnalAmplitude)
-	t := now + d.arrSrc.Exponential(peak)
+// with probability λ(t)/λpeak. It is the process's one event handler: at
+// most one candidate is queued at a time, at t.
+type arrivalProcess struct {
+	d *Driver
+	t float64
+}
+
+// scheduleAfter queues the candidate that follows time now.
+func (p *arrivalProcess) scheduleAfter(now float64) error {
+	d := p.d
+	t := now + d.arrSrc.Exponential(d.peakRate())
 	if t >= d.cfg.Horizon {
 		return nil
 	}
-	return d.net.At(t, func() {
-		if d.thinSrc.Float64() < d.lambda(t)/peak {
-			d.arrive(t)
-		}
-		if err := d.scheduleNextArrival(t); err != nil {
-			panic(err) // next arrival is in the future by construction
-		}
-	})
+	p.t = t
+	return d.net.AtHandler(t, p)
 }
+
+// Fire thins the candidate at p.t and queues the next one.
+func (p *arrivalProcess) Fire() {
+	d, t := p.d, p.t
+	if d.thinSrc.Float64() < d.lambda(t)/d.peakRate() {
+		d.arrive(t)
+	}
+	if err := p.scheduleAfter(t); err != nil {
+		panic(err) // next arrival is in the future by construction
+	}
+}
+
+// peakRate is the demand rate's maximum over the diurnal cycle.
+func (d *Driver) peakRate() float64 { return d.cfg.Rate * (1 + d.cfg.DiurnalAmplitude) }
 
 // lambda is the instantaneous demand rate at time t.
 func (d *Driver) lambda(t float64) float64 {

@@ -75,7 +75,7 @@ func (n *Network) CloseChannel(id graph.EdgeID) error {
 	ch.Close()
 	for _, dir := range []channel.Direction{channel.Fwd, channel.Rev} {
 		for _, q := range ch.Queued(dir) {
-			if tu := n.findQueuedTU(q); tu != nil {
+			if tu := waitingTU(q, ch, dir); tu != nil {
 				n.abortTU(tu, "channel_closed")
 			}
 		}

@@ -12,14 +12,17 @@ import (
 	"github.com/splicer-pcn/splicer/internal/workload"
 )
 
-// txRun tracks one payment through its lifetime. It is the deadline
-// watchdog's sim.Handler.
+// txRun tracks one payment through its lifetime, from arrival to outcome.
+// It is the payment's event handler at every stage (sim.Handler):
+// ScheduleArrival queues it for the arrival, the arrival queues it for
+// dispatch once the route computation is done, and dispatch queues it as the
+// deadline watchdog. stage names the one event it is queued for.
 type txRun struct {
 	net       *Network
 	tx        workload.Tx
-	pair      pairKey
 	paths     []graph.Path
 	remaining int // unresolved TUs
+	stage     txStage
 	failed    bool
 	finished  bool
 	deadline  sim.Event
@@ -42,12 +45,31 @@ type txRun struct {
 	live []*tuRun
 }
 
-// Fire is the deadline watchdog.
-func (run *txRun) Fire() { run.net.onDeadline(run) }
+// txStage is the payment event a txRun is queued for.
+type txStage uint8
+
+const (
+	stageArrival txStage = iota
+	stageDispatch
+	stageDeadline
+)
+
+// Fire runs the payment's queued stage.
+func (run *txRun) Fire() {
+	switch run.stage {
+	case stageArrival:
+		run.net.onArrival(run)
+	case stageDispatch:
+		run.net.dispatch(run)
+	default:
+		run.net.onDeadline(run)
+	}
+}
 
 // tuRun is one transaction-unit in flight. dispatch allocates a payment's
-// TUs as one slab. A tuRun is its own per-hop timer (sim.Handler), so
-// forwarding allocates no closure.
+// TUs as one slab. A tuRun is its own per-hop timer and hold release
+// (sim.Handler) and holds its own queue entry, so forwarding and queuing
+// allocate nothing.
 type tuRun struct {
 	id      uint64
 	tx      *txRun
@@ -58,14 +80,20 @@ type tuRun struct {
 	// htlc is the TU's contract chain: the lock every hop shares, stored
 	// once, and a state per currently locked hop in the payment's state
 	// slab.
-	htlc     htlc.Hops
-	queued   *channel.QueuedTU
+	htlc htlc.Hops
+	// q is the TU's entry in a channel's waiting queue, rewritten each time
+	// the TU queues; queuedAt names that queue while the TU waits in it (ch
+	// is nil otherwise).
+	q        channel.QueuedTU
 	queuedAt struct {
 		ch  *channel.Channel
 		dir channel.Direction
 	}
 	liveIdx int
 	done    bool
+	// held marks a fully locked TU whose sender withholds the preimage; its
+	// one queued event is then the hold release.
+	held bool
 	// attempts counts completed send attempts beyond the first (see
 	// retry.go); 0 unless Config.Retry is armed and this TU was retried.
 	attempts int
@@ -76,20 +104,39 @@ type tuRun struct {
 	pre [32]byte
 }
 
-// Fire forwards the TU over its next hop.
-func (tu *tuRun) Fire() { tu.tx.net.advanceTU(tu) }
+// Fire forwards the TU over its next hop, or releases a held TU.
+func (tu *tuRun) Fire() {
+	if tu.held {
+		tu.tx.net.abortTU(tu, "held_released")
+		return
+	}
+	tu.tx.net.advanceTU(tu)
+}
+
+// waitingTU returns the TU owning queue entry q while it still waits in
+// ch's direction-dir queue, and nil once it has left. Callers iterating a
+// snapshot of entries check this because a TU reuses one entry each time it
+// queues.
+func waitingTU(q *channel.QueuedTU, ch *channel.Channel, dir channel.Direction) *tuRun {
+	tu, _ := q.Owner.(*tuRun)
+	if tu == nil || tu.queuedAt.ch != ch || tu.queuedAt.dir != dir {
+		return nil
+	}
+	return tu
+}
 
 // onArrival is the entry point for a generated payment: it models the
 // route-computation service time (at the sender for source routing, at the
 // managing hub for hub-based policies) and then dispatches. Which node pays
 // the compute cost, and any epoch alignment, come from the SchemePolicy.
-func (n *Network) onArrival(tx workload.Tx) {
+func (n *Network) onArrival(run *txRun) {
+	tx := &run.tx
 	if tx.Adversarial {
 		n.metrics.AddHandle(n.mh.advGenerated, 1)
 	} else {
 		n.metrics.AddHandle(n.mh.txGenerated, 1)
 	}
-	owner, service := n.policy.ComputeOwner(n, tx)
+	owner, service := n.policy.ComputeOwner(n, *tx)
 	now := n.engine.Now()
 	free := n.cpuFree[owner]
 	if free < now {
@@ -98,21 +145,23 @@ func (n *Network) onArrival(tx workload.Tx) {
 	free = n.policy.AlignDispatch(n, free)
 	start := free + service
 	n.cpuFree[owner] = start
-	if _, err := n.engine.Schedule(start, 2, func() { n.dispatch(tx) }); err != nil {
+	run.stage = stageDispatch
+	if _, err := n.engine.ScheduleHandler(start, 2, run); err != nil {
 		// Scheduling in the past is impossible here (start >= now).
 		panic(err)
 	}
 }
 
 // dispatch plans paths and TUs for the payment and starts sending.
-func (n *Network) dispatch(tx workload.Tx) {
+func (n *Network) dispatch(run *txRun) {
+	tx := &run.tx
 	if n.engine.Now() >= tx.Deadline {
 		// Route computation (sender CPU or hub crypto backlog) outlasted
 		// the payment timeout.
-		n.failTx(&txRun{tx: tx}, "compute_backlog")
+		n.failTx(run, "compute_backlog")
 		return
 	}
-	paths, allocs, err := n.policy.Plan(n, tx)
+	paths, allocs, err := n.policy.Plan(n, *tx)
 	if err != nil || len(paths) == 0 || len(allocs) == 0 {
 		reason := "no_route"
 		if errors.Is(err, ErrNoFlow) {
@@ -121,25 +170,20 @@ func (n *Network) dispatch(tx workload.Tx) {
 			// reachability failure, so it gets its own reason column.
 			reason = "no_flow"
 		}
-		n.failTx(&txRun{tx: tx}, reason)
+		n.failTx(run, reason)
 		return
 	}
-	run := &txRun{
-		net:   n,
-		tx:    tx,
-		pair:  pairKey{tx.Sender, tx.Recipient},
-		paths: paths,
-		live:  make([]*tuRun, 0, len(allocs)),
-	}
-	n.txState[tx.ID] = run
+	run.paths = paths
+	run.live = make([]*tuRun, 0, len(allocs))
 	n.registerTx(run)
 
 	rateControlled := n.splitsTUs()
 	if rateControlled {
 		// Register the planned path set for the τ-probe loop, which
 		// refreshes path prices and rates per pair each tick.
-		n.pathsFor[run.pair] = paths
-		rc, ok := n.rateCtl[run.pair]
+		pair := pairKey{tx.Sender, tx.Recipient}
+		n.pathsFor[pair] = paths
+		rc, ok := n.rateCtl[pair]
 		if !ok || rc.NumPaths() != len(paths) {
 			// First payment for the pair, or the pair was re-planned with a
 			// different path count after a topology mutation: the old
@@ -153,9 +197,9 @@ func (n *Network) dispatch(tx workload.Tx) {
 				return
 			}
 			if !ok {
-				n.registerPair(run.pair)
+				n.registerPair(pair)
 			}
-			n.rateCtl[run.pair] = rc
+			n.rateCtl[pair] = rc
 		}
 		run.rc = rc
 	}
@@ -189,6 +233,7 @@ func (n *Network) dispatch(tx workload.Tx) {
 		n.drainPending(run)
 	}
 	// Deadline watchdog.
+	run.stage = stageDeadline
 	ev, err := n.engine.ScheduleHandler(tx.Deadline, 0, run)
 	if err != nil {
 		panic(err)
@@ -266,21 +311,19 @@ func (n *Network) advanceTU(tu *tuRun) {
 		return
 	}
 	if n.usesQueues() {
-		q := &channel.QueuedTU{
+		tu.q = channel.QueuedTU{
 			ID:       tu.id,
 			Value:    tu.value,
 			Deadline: tu.tx.tx.Deadline,
 			Enqueued: now,
+			Owner:    tu,
 		}
-		q.Resume = func() { n.resumeQueued(tu, ch, dir) }
-		if err := ch.Enqueue(dir, q); err != nil {
+		if err := ch.Enqueue(dir, &tu.q); err != nil {
 			n.abortTU(tu, "queue_full")
 			return
 		}
-		tu.queued = q
 		tu.queuedAt.ch = ch
 		tu.queuedAt.dir = dir
-		n.queuedIndex[q] = tu
 		n.metrics.AddHandle(n.mh.tuQueued, 1)
 		return
 	}
@@ -288,12 +331,9 @@ func (n *Network) advanceTU(tu *tuRun) {
 }
 
 // resumeQueued is called when a queued TU is dequeued for another attempt.
-func (n *Network) resumeQueued(tu *tuRun, ch *channel.Channel, dir channel.Direction) {
-	if tu.queued != nil {
-		n.metrics.ObserveHandle(n.mh.queueDelay, n.engine.Now()-tu.queued.Enqueued)
-		delete(n.queuedIndex, tu.queued)
-	}
-	tu.queued = nil
+func (n *Network) resumeQueued(tu *tuRun) {
+	ch, dir := tu.queuedAt.ch, tu.queuedAt.dir
+	n.metrics.ObserveHandle(n.mh.queueDelay, n.engine.Now()-tu.q.Enqueued)
 	tu.queuedAt.ch = nil
 	if tu.done || tu.tx.failed {
 		return
@@ -316,9 +356,7 @@ func (n *Network) lockAndHop(tu *tuRun, ch *channel.Channel, dir channel.Directi
 	n.touchChannel(ch.Edge) // the lock consumed processing-rate budget
 	tu.htlc.Offer()
 	tu.hop++
-	if _, err := n.engine.AfterHandler(n.cfg.HopDelay, 3, tu); err != nil {
-		panic(err)
-	}
+	n.hops.Push(tu)
 }
 
 // completeTU settles the TU end-to-end (or parks it when the sender is
@@ -373,7 +411,8 @@ func (n *Network) holdTU(tu *tuRun) {
 	if release > tu.tx.tx.Deadline {
 		release = tu.tx.tx.Deadline
 	}
-	if _, err := n.engine.Schedule(release, 0, func() { n.abortTU(tu, "held_released") }); err != nil {
+	tu.held = true
+	if _, err := n.engine.ScheduleHandler(release, 0, tu); err != nil {
 		panic(err) // release >= now by construction
 	}
 }
@@ -385,10 +424,9 @@ func (n *Network) abortTU(tu *tuRun, reason string) {
 	}
 	tu.done = true
 	tu.tx.removeLive(tu)
-	if tu.queued != nil && tu.queuedAt.ch != nil {
-		tu.queuedAt.ch.RemoveQueued(tu.queuedAt.dir, tu.queued)
-		delete(n.queuedIndex, tu.queued)
-		tu.queued = nil
+	if tu.queuedAt.ch != nil {
+		tu.queuedAt.ch.RemoveQueued(tu.queuedAt.dir, &tu.q)
+		tu.queuedAt.ch = nil
 	}
 	n.abortLockedHops(tu, tu.htlc.Len())
 	n.resolveTU(tu, false, reason)
@@ -505,7 +543,6 @@ func (n *Network) finishTx(run *txRun) {
 	run.finished = true
 	run.deadline.Cancel()
 	run.deadline = sim.Event{}
-	delete(n.txState, run.tx.ID)
 	n.unregisterTx(run)
 	now := n.engine.Now()
 	ok := !run.failed && now <= run.tx.Deadline+1e-9
@@ -542,7 +579,8 @@ func (n *Network) drainQueue(ch *channel.Channel, dir channel.Direction) {
 		if q == nil {
 			return
 		}
-		if q.Resume == nil {
+		tu, _ := q.Owner.(*tuRun)
+		if tu == nil {
 			continue
 		}
 		if !ch.CanForward(dir, q.Value) {
@@ -550,11 +588,11 @@ func (n *Network) drainQueue(ch *channel.Channel, dir channel.Direction) {
 			if err := ch.Enqueue(dir, q); err != nil {
 				// Queue shrank since we dequeued, so re-adding cannot
 				// overflow; be defensive anyway.
-				q.Resume()
+				n.resumeQueued(tu)
 			}
 			return
 		}
-		q.Resume()
+		n.resumeQueued(tu)
 	}
 }
 
@@ -599,11 +637,6 @@ func (n *Network) onTauTick() {
 		clear(ticking)
 		n.tickTx = ticking[:0]
 	}
-}
-
-// findQueuedTU maps a channel queue entry back to its tuRun.
-func (n *Network) findQueuedTU(q *channel.QueuedTU) *tuRun {
-	return n.queuedIndex[q]
 }
 
 // failTx records an immediately failed payment (no route, etc.).

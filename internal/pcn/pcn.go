@@ -311,8 +311,9 @@ type Network struct {
 
 	nextTUID uint64
 
-	txState     map[int]*txRun
-	queuedIndex map[*channel.QueuedTU]*tuRun
+	// hops is the engine lane every TU hop timer takes: each fires HopDelay
+	// after its lock, at one priority, so they need a FIFO, not the heap.
+	hops *sim.Lane
 
 	// Interned metric handles and the incremental τ-tick registries (see
 	// tick.go): the sorted pair registry, the swap-remove active-payment
@@ -377,22 +378,24 @@ func NewNetwork(g *graph.Graph, cfg Config) (*Network, error) {
 		}
 	}
 	n := &Network{
-		cfg:         cfg,
-		policy:      policy,
-		g:           g,
-		chans:       make([]*channel.Channel, g.NumEdges()),
-		engine:      sim.NewEngine(),
-		metrics:     sim.NewMetrics(),
-		isHub:       map[graph.NodeID]bool{},
-		hubOf:       map[graph.NodeID]graph.NodeID{},
-		departed:    map[graph.NodeID]bool{},
-		boosted:     map[graph.EdgeID]bool{},
-		routes:      NewRouteCache(),
-		pathsFor:    map[pairKey][]graph.Path{},
-		rateCtl:     map[pairKey]*routing.RateController{},
-		cpuFree:     map[graph.NodeID]float64{},
-		txState:     map[int]*txRun{},
-		queuedIndex: map[*channel.QueuedTU]*tuRun{},
+		cfg:      cfg,
+		policy:   policy,
+		g:        g,
+		chans:    make([]*channel.Channel, g.NumEdges()),
+		engine:   sim.NewEngine(),
+		metrics:  sim.NewMetrics(),
+		isHub:    map[graph.NodeID]bool{},
+		hubOf:    map[graph.NodeID]graph.NodeID{},
+		departed: map[graph.NodeID]bool{},
+		boosted:  map[graph.EdgeID]bool{},
+		routes:   NewRouteCache(),
+		pathsFor: map[pairKey][]graph.Path{},
+		rateCtl:  map[pairKey]*routing.RateController{},
+		cpuFree:  map[graph.NodeID]float64{},
+	}
+	var err error
+	if n.hops, err = n.engine.NewLane(cfg.HopDelay, 3); err != nil {
+		return nil, err
 	}
 	n.initMetricHandles()
 	n.priceFn = n.priceOf
@@ -848,7 +851,7 @@ func (n *Network) ScheduleArrival(tx workload.Tx) error {
 	if n.spec != nil {
 		n.spec.enqueue(tx)
 	}
-	_, err := n.engine.Schedule(tx.Arrival, 1, func() { n.onArrival(tx) })
+	_, err := n.engine.ScheduleHandler(tx.Arrival, 1, &txRun{net: n, tx: tx})
 	return err
 }
 
@@ -857,7 +860,7 @@ func (n *Network) ScheduleArrival(tx workload.Tx) error {
 // at the moment of arrival rather than at trace-generation time.
 func (n *Network) Arrive(tx workload.Tx) {
 	n.countGenerated(tx)
-	n.onArrival(tx)
+	n.onArrival(&txRun{net: n, tx: tx})
 }
 
 func (n *Network) countGenerated(tx workload.Tx) {
@@ -876,6 +879,14 @@ func (n *Network) countGenerated(tx workload.Tx) {
 // channel closes sees the post-close topology.
 func (n *Network) At(t float64, action func()) error {
 	_, err := n.engine.Schedule(t, -1, action)
+	return err
+}
+
+// AtHandler is At with the event given as a sim.Handler, for a process that
+// reschedules one long-lived object instead of allocating a closure per
+// event.
+func (n *Network) AtHandler(t float64, h sim.Handler) error {
+	_, err := n.engine.ScheduleHandler(t, -1, h)
 	return err
 }
 

@@ -223,8 +223,10 @@ func (n *Network) runChannelMaintenance(now float64) {
 			marked := ch.MarkStale(dir, now, n.cfg.QueueDelayThreshold)
 			for _, q := range marked {
 				n.metrics.AddHandle(n.mh.tuMarked, 1)
-				// The sender cancels marked packets (eq. 27 path).
-				if tu := n.findQueuedTU(q); tu != nil {
+				// The sender cancels marked packets (eq. 27 path). A TU
+				// that left this queue and joined it again since
+				// MarkStale holds a fresh, unmarked entry.
+				if tu := waitingTU(q, ch, dir); tu != nil && q.Marked {
 					n.abortTU(tu, "marked")
 				}
 			}
@@ -276,15 +278,13 @@ func (n *Network) registerPair(p pairKey) {
 	n.pairList[i] = p
 }
 
-// registerTx adds an in-flight payment to the active registry (mirrors the
-// txState insert in dispatch).
+// registerTx adds a dispatched payment to the active registry.
 func (n *Network) registerTx(run *txRun) {
 	run.regIdx = len(n.activeTx)
 	n.activeTx = append(n.activeTx, run)
 }
 
-// unregisterTx swap-removes a finished payment (mirrors the txState delete
-// in finishTx).
+// unregisterTx swap-removes a finished payment (finishTx).
 func (n *Network) unregisterTx(run *txRun) {
 	last := len(n.activeTx) - 1
 	moved := n.activeTx[last]
@@ -317,7 +317,7 @@ func (n *Network) priceOf(e graph.EdgeID, from graph.NodeID) float64 {
 
 // sortTickSnapshot fills the reusable scratch with the active payments in
 // ascending id order — the same iteration order the per-tick ids sort used
-// to produce from the txState map. The caller (onTauTick) clears the
+// to produce from the former id-keyed payment map. The caller (onTauTick) clears the
 // snapshot after use, so between ticks the scratch holds no references.
 func (n *Network) sortTickSnapshot() []*txRun {
 	scratch := append(n.tickTx[:0], n.activeTx...)

@@ -133,6 +133,19 @@ func (s Spec) Build() (*graph.Graph, []workload.Tx, error) {
 	return st.g, trace, nil
 }
 
+// BuildGraph materializes the channel graph alone, for callers that need no
+// trace (placement studies, path-finding benchmarks). The spec must still
+// validate as a whole, but no trace is generated, so a workload too short to
+// yield a payment does not fail. The graph equals Build's: the topology
+// stage draws before the workload stage.
+func (s Spec) BuildGraph() (*graph.Graph, error) {
+	st, err := s.beginBuild()
+	if err != nil {
+		return nil, err
+	}
+	return st.g, nil
+}
+
 // dynConfig maps the spec onto a dynamics configuration, mirroring the
 // historical churn runner: all five structural processes at ChurnRate, the
 // demand shaped by the workload block, everything else on NewConfig's

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/splicer-pcn/splicer/internal/graph"
 	"github.com/splicer-pcn/splicer/internal/pcn"
 )
 
@@ -118,6 +119,56 @@ func TestSpecBuildMatchesScenarioContract(t *testing.T) {
 	}
 	if !g.Connected() {
 		t.Fatal("small spec graph not connected")
+	}
+}
+
+// TestBuildGraph: the graph-only build needs no trace, so a 1 tx/s × 1 s
+// workload, whose trace comes out empty and fails Build, still builds its
+// graph; and the graph equals Build's edge for edge, capacities included.
+func TestBuildGraph(t *testing.T) {
+	tiny := Spec{
+		Seed:     21,
+		Topology: TopologySpec{Type: TopoWattsStrogatz, Nodes: 100},
+		Workload: WorkloadSpec{Type: WorkSynthetic, Rate: 1, Duration: 1},
+	}
+	if _, _, err := tiny.Build(); err == nil {
+		t.Fatal("Build of the 1 tx/s × 1 s spec succeeded; the test needs a spec whose trace is empty")
+	}
+	g, err := tiny.BuildGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy := tiny
+	busy.Workload.Rate = 10
+	want, _, err := busy.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameEdges(t, "watts-strogatz", g, want)
+	for _, s := range []Spec{SmallSpec(), BurstyHubSpokeSpec()} {
+		want, _, err := s.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.BuildGraph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameEdges(t, s.Topology.Type, got, want)
+	}
+}
+
+// sameEdges fails unless got and want hold the same edges, capacities
+// included, under the same ids.
+func sameEdges(t *testing.T, name string, got, want *graph.Graph) {
+	t.Helper()
+	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
+		t.Fatalf("%s: BuildGraph made %d nodes and %d edges, Build %d and %d", name, got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
+	}
+	for i := 0; i < want.NumEdges(); i++ {
+		if a, b := got.Edge(graph.EdgeID(i)), want.Edge(graph.EdgeID(i)); a != b {
+			t.Fatalf("%s: edge %d is %+v from BuildGraph, %+v from Build", name, i, a, b)
+		}
 	}
 }
 

@@ -3,9 +3,10 @@ package sim
 // Tests for the pooled event arena: slot reuse must never resurrect or
 // miscancel events (the generation counter is the guard), canceled events
 // must not occupy the heap until their fire time (the compaction
-// satellite), and the pooled 4-ary heap must execute in exactly the
-// (time, priority, seq) order of the container/heap implementation it
-// replaced — pinned here against a reference reimplementation.
+// satellite), and the pooled 4-ary heap together with the engine's lanes
+// must execute in exactly the (time, priority, seq) order of the
+// container/heap implementation they replaced — pinned here against a
+// reference reimplementation.
 
 import (
 	"container/heap"
@@ -151,38 +152,146 @@ func (h *refHeap) Pop() interface{} {
 	return e
 }
 
+// testLanes are the two lanes of the randomized order pin: different delays
+// and priorities, the first at the priority heap follow-ups also use.
+var testLanes = []struct {
+	delay float64
+	prio  int
+}{{0.5, 3}, {1, 1}}
+
+// followUps draws the events a fired event queues: up to two per firing,
+// until maxSpawned. Each engine draws from its own rng in execution order, so
+// the pooled engine and the reference draw the same follow-ups exactly as
+// long as they execute in the same order.
+type followUps struct {
+	rng     *rand.Rand
+	spawned int
+}
+
+const maxSpawned = 6000
+
+// draw calls queue once per follow-up: lane >= 0 pushes onto that lane,
+// lane < 0 schedules a heap event delay from now at priority prio.
+func (f *followUps) draw(queue func(lane int, delay float64, prio int)) {
+	for k := f.rng.Intn(3); k > 0 && f.spawned < maxSpawned; k-- {
+		f.spawned++
+		switch f.rng.Intn(4) {
+		case 0, 1:
+			queue(f.rng.Intn(len(testLanes)), 0, 0)
+		case 2:
+			// Same fire time and priority as a lane-0 push now: only seq
+			// separates them.
+			queue(-1, testLanes[0].delay, testLanes[0].prio)
+		default:
+			queue(-1, float64(f.rng.Intn(8))/4, f.rng.Intn(5)-1)
+		}
+	}
+}
+
+// pooledRun is the pooled engine's side of the order pin.
+type pooledRun struct {
+	e      *Engine
+	lanes  []*Lane
+	f      followUps
+	order  []int
+	nextID int
+}
+
+type pooledEvent struct {
+	r  *pooledRun
+	id int
+}
+
+func (ev *pooledEvent) Fire() { ev.r.fire(ev.id) }
+
+func (r *pooledRun) fire(id int) {
+	r.order = append(r.order, id)
+	r.f.draw(func(lane int, delay float64, prio int) {
+		ev := &pooledEvent{r, r.nextID}
+		r.nextID++
+		if lane >= 0 {
+			r.lanes[lane].Push(ev)
+		} else if _, err := r.e.AfterHandler(delay, prio, ev); err != nil {
+			panic(err)
+		}
+	})
+}
+
+// refRun is the reference's side: one container/heap holds every event, a
+// lane push included.
+type refRun struct {
+	heap   refHeap
+	seq    uint64
+	now    float64
+	f      followUps
+	order  []int
+	nextID int
+}
+
+func (r *refRun) push(at float64, prio int) *refEvent {
+	id := r.nextID
+	r.nextID++
+	re := &refEvent{time: at, priority: prio, seq: r.seq}
+	re.action = func() { r.fire(id) }
+	r.seq++
+	heap.Push(&r.heap, re)
+	return re
+}
+
+func (r *refRun) fire(id int) {
+	r.order = append(r.order, id)
+	r.f.draw(func(lane int, delay float64, prio int) {
+		if lane >= 0 {
+			delay, prio = testLanes[lane].delay, testLanes[lane].prio
+		}
+		r.push(r.now+delay, prio)
+	})
+}
+
+func (r *refRun) run() {
+	for r.heap.Len() > 0 {
+		re := heap.Pop(&r.heap).(*refEvent)
+		if !re.canceled {
+			r.now = re.time
+			re.action()
+		}
+	}
+}
+
 // TestPooledHeapMatchesContainerHeap drives the pooled engine and the
 // reference container/heap side by side through a randomized
-// schedule/cancel workload and requires the exact same execution order —
-// the (time, priority, seq) contract is total, so the 4-ary pooled heap
-// must not be distinguishable from the old implementation.
+// schedule/cancel workload and requires the exact same execution order.
+// Fired events queue follow-ups: pushes onto two lanes of different delays
+// and priorities, heap events at a lane's priority and fire time, and
+// others; fire times lie on a quarter grid, so ties are common. The
+// (time, priority, seq) contract is total, so neither the 4-ary pooled heap
+// nor the lanes may be distinguishable from one container/heap.
 func TestPooledHeapMatchesContainerHeap(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-
-		e := NewEngine()
-		var gotOrder []int
-		var pooled []Event
-
-		var ref refHeap
-		var refSeq uint64
-		var wantOrder []int
-		var refs []*refEvent
-
-		const n = 3000
-		for i := 0; i < n; i++ {
-			id := i
-			at := float64(rng.Intn(500)) + rng.Float64()
-			prio := rng.Intn(3) - 1
-			ev, err := e.Schedule(at, prio, func() { gotOrder = append(gotOrder, id) })
+		got := &pooledRun{e: NewEngine(), f: followUps{rng: rand.New(rand.NewSource(seed + 100))}}
+		for _, l := range testLanes {
+			lane, err := got.e.NewLane(l.delay, l.prio)
 			if err != nil {
 				t.Fatal(err)
 			}
+			got.lanes = append(got.lanes, lane)
+		}
+		want := &refRun{f: followUps{rng: rand.New(rand.NewSource(seed + 100))}}
+
+		const n = 3000
+		var pooled []Event
+		var refs []*refEvent
+		for i := 0; i < n; i++ {
+			at := float64(rng.Intn(2000)) / 4
+			prio := rng.Intn(5) - 1
+			ev, err := got.e.ScheduleHandler(at, prio, &pooledEvent{got, got.nextID})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.nextID++
 			pooled = append(pooled, ev)
-			re := &refEvent{time: at, priority: prio, seq: refSeq, action: func() { wantOrder = append(wantOrder, id) }}
-			refSeq++
-			heap.Push(&ref, re)
-			refs = append(refs, re)
+			refs = append(refs, want.push(at, prio))
 
 			// Cancel a random earlier event now and then.
 			if i%7 == 3 {
@@ -191,19 +300,17 @@ func TestPooledHeapMatchesContainerHeap(t *testing.T) {
 				refs[j].canceled = true
 			}
 		}
-		e.Run(1e9)
-		for ref.Len() > 0 {
-			re := heap.Pop(&ref).(*refEvent)
-			if !re.canceled {
-				re.action()
-			}
+		got.e.Run(1e9)
+		want.run()
+		if want.f.spawned < maxSpawned {
+			t.Fatalf("seed %d: the reference queued only %d follow-ups", seed, want.f.spawned)
 		}
-		if len(gotOrder) != len(wantOrder) {
-			t.Fatalf("seed %d: executed %d events, reference executed %d", seed, len(gotOrder), len(wantOrder))
+		if len(got.order) != len(want.order) {
+			t.Fatalf("seed %d: executed %d events, reference executed %d", seed, len(got.order), len(want.order))
 		}
-		for i := range wantOrder {
-			if gotOrder[i] != wantOrder[i] {
-				t.Fatalf("seed %d: order diverges at %d: got %d want %d", seed, i, gotOrder[i], wantOrder[i])
+		for i := range want.order {
+			if got.order[i] != want.order[i] {
+				t.Fatalf("seed %d: order diverges at %d: got %d want %d", seed, i, got.order[i], want.order[i])
 			}
 		}
 	}

@@ -13,6 +13,14 @@
 // container/heap), and canceled events are compacted out of the heap when
 // they outnumber the live ones, so long-horizon runs that cancel most of
 // their deadline watchdogs do not carry the corpses to their fire times.
+//
+// Beside the heap, an engine holds lanes: FIFOs of events that fire a fixed
+// delay after they are pushed, at one priority (the transaction-unit hop
+// timer). A lane's fire times never decrease and its events draw their seq
+// from the engine's one counter, so a lane is already sorted in the heap's
+// (time, priority, seq) order. Run fires whichever of the heap top and the
+// lane heads comes first in that order, which is exactly the order one heap
+// holding every event would give.
 package sim
 
 import (
@@ -72,10 +80,12 @@ type Engine struct {
 	heap  []int32 // 4-ary min-heap of slot indices, ordered by (time, priority, seq)
 	// nCanceled counts canceled events still occupying the heap; when they
 	// exceed the live events, compact() sweeps them out in one pass.
-	nCanceled int
-	seq       uint64
-	nRun      uint64
-	halted    bool
+	nCanceled  int
+	lanes      []*Lane
+	laneEvents int    // events queued on all lanes
+	seq        uint64 // shared by heap and lane events
+	nRun       uint64
+	halted     bool
 }
 
 // NewEngine returns an engine at time 0.
@@ -87,8 +97,9 @@ func (e *Engine) Now() float64 { return e.now }
 // EventsRun returns the number of events executed.
 func (e *Engine) EventsRun() uint64 { return e.nRun }
 
-// PendingEvents returns the number of live (scheduled, not canceled) events.
-func (e *Engine) PendingEvents() int { return len(e.heap) - e.nCanceled }
+// PendingEvents returns the number of live (scheduled, not canceled) events,
+// lane events included.
+func (e *Engine) PendingEvents() int { return len(e.heap) - e.nCanceled + e.laneEvents }
 
 // heapSlots returns the heap's current occupancy including canceled
 // corpses awaiting compaction or their fire time (tests pin the compaction
@@ -96,8 +107,10 @@ func (e *Engine) PendingEvents() int { return len(e.heap) - e.nCanceled }
 func (e *Engine) heapSlots() int { return len(e.heap) }
 
 // less orders heap entries by (time, priority, seq) — identical to the
-// pre-pool container/heap contract. seq makes the order total, so the heap
-// arity cannot leak into execution order.
+// pre-pool container/heap contract. seq is unique per event, so the order
+// is total and neither the heap arity nor the split between heap and lanes
+// can leak into execution order. nextLane compares lane heads by the same
+// order.
 func (e *Engine) less(a, b int32) bool {
 	sa, sb := &e.slots[a], &e.slots[b]
 	if sa.time != sb.time {
@@ -281,39 +294,164 @@ func (e *Engine) Every(interval, until float64, priority int, action func()) err
 	if interval <= 0 {
 		return fmt.Errorf("sim: interval must be positive, got %v", interval)
 	}
-	start := e.now
-	i := int64(1)
-	var tick func()
-	tick = func() {
-		action()
-		i++
-		// float64(i)*interval is nondecreasing in i, so next >= now always
-		// holds inside the run loop.
-		if next := start + float64(i)*interval; next < until {
-			if _, err := e.Schedule(next, priority, tick); err != nil {
-				panic(err)
-			}
-		}
-	}
-	first := start + interval
+	tk := &ticker{e: e, start: e.now, interval: interval, until: until, priority: priority, i: 1, action: action}
+	first := tk.start + interval
 	if first >= until {
 		return nil
 	}
-	_, err := e.Schedule(first, priority, tick)
+	_, err := e.ScheduleHandler(first, priority, tk)
 	return err
+}
+
+// ticker is Every's event: it runs the action, then schedules itself for
+// the next tick.
+type ticker struct {
+	e                      *Engine
+	start, interval, until float64
+	priority               int
+	i                      int64 // index of the tick being fired
+	action                 func()
+}
+
+func (tk *ticker) Fire() {
+	tk.action()
+	tk.i++
+	// float64(i)*interval is nondecreasing in i, so next >= now always
+	// holds inside the run loop.
+	if next := tk.start + float64(tk.i)*tk.interval; next < tk.until {
+		if _, err := tk.e.ScheduleHandler(next, tk.priority, tk); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// Lane is a FIFO of events that fire a fixed delay after they are pushed,
+// all at one priority. Its fire times never decrease (now never does, and
+// rounding now+delay is monotone in now) and its events take their seq from
+// the engine's shared counter, so the FIFO is sorted in the engine's
+// (time, priority, seq) order and a push is O(1) instead of a heap sift.
+// Lane events cannot be canceled.
+type Lane struct {
+	e     *Engine
+	delay float64
+	prio  int32
+	ring  []laneEntry // circular buffer, power-of-two length
+	head  int         // ring index of the oldest event
+	n     int         // queued events
+}
+
+// laneEntry is one queued lane event.
+type laneEntry struct {
+	time   float64
+	seq    uint64
+	action Handler
+}
+
+// NewLane adds a lane to the engine whose events fire delay seconds after
+// they are pushed, at the given priority.
+func (e *Engine) NewLane(delay float64, priority int) (*Lane, error) {
+	if !(delay >= 0) || math.IsInf(delay, 1) {
+		return nil, fmt.Errorf("sim: lane delay must be finite and non-negative, got %v", delay)
+	}
+	if priority < math.MinInt32 || priority > math.MaxInt32 {
+		return nil, fmt.Errorf("sim: priority %d out of the int32 range", priority)
+	}
+	l := &Lane{e: e, delay: delay, prio: int32(priority)}
+	e.lanes = append(e.lanes, l)
+	return l, nil
+}
+
+// Push queues action to fire the lane's delay from now. A nil action panics.
+func (l *Lane) Push(action Handler) {
+	if action == nil {
+		panic("sim: nil lane action")
+	}
+	if l.n == len(l.ring) {
+		l.grow()
+	}
+	e := l.e
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = laneEntry{time: e.now + l.delay, seq: e.seq, action: action}
+	e.seq++
+	l.n++
+	e.laneEvents++
+}
+
+// grow doubles the ring, unwrapping the queued events to its front.
+func (l *Lane) grow() {
+	ring := make([]laneEntry, max(16, 2*len(l.ring)))
+	for i := 0; i < l.n; i++ {
+		ring[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
+	}
+	l.ring, l.head = ring, 0
+}
+
+// pop removes the head event and returns its action, clearing the entry so
+// the ring does not pin the action's state.
+func (l *Lane) pop() Handler {
+	h := &l.ring[l.head]
+	action := h.action
+	h.action = nil
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+	l.e.laneEvents--
+	return action
+}
+
+// nextLane returns the lane whose head event precedes the heap top and every
+// other lane head, or nil when the heap top comes first or no lane holds an
+// event.
+func (e *Engine) nextLane() *Lane {
+	var best *Lane
+	var bt float64
+	var bp int32
+	var bseq uint64
+	have := len(e.heap) > 0
+	if have {
+		s := &e.slots[e.heap[0]]
+		bt, bp, bseq = s.time, s.priority, s.seq
+	}
+	for _, l := range e.lanes {
+		if l.n == 0 {
+			continue
+		}
+		h := &l.ring[l.head]
+		if !have || h.time < bt || h.time == bt && (l.prio < bp || l.prio == bp && h.seq < bseq) {
+			best, have = l, true
+			bt, bp, bseq = h.time, l.prio, h.seq
+		}
+	}
+	return best
 }
 
 // Halt stops the run loop after the current event.
 func (e *Engine) Halt() { e.halted = true }
 
-// Run executes events in time order until the queue empties, the horizon is
+// Run executes events in time order until the queues empty, the horizon is
 // passed, or Halt is called. It returns the final virtual time. Events
 // beyond the horizon stay queued, so a later Run with a larger horizon
 // resumes exactly where this one stopped and executes every scheduled event
 // in order.
 func (e *Engine) Run(horizon float64) float64 {
 	e.halted = false
-	for len(e.heap) > 0 && !e.halted {
+	for !e.halted {
+		// A lane head that precedes the heap top fires first: each queue is
+		// sorted, so its first event is its minimum.
+		if e.laneEvents > 0 {
+			if lane := e.nextLane(); lane != nil {
+				t := lane.ring[lane.head].time
+				if t > horizon {
+					return e.stopAt(horizon)
+				}
+				action := lane.pop()
+				e.now = t
+				e.nRun++
+				action.Fire()
+				continue
+			}
+		}
+		if len(e.heap) == 0 {
+			break
+		}
 		// Peek before popping: a past-horizon event must survive for the
 		// next Run rather than being popped and dropped.
 		top := e.heap[0]
@@ -325,12 +463,7 @@ func (e *Engine) Run(horizon float64) float64 {
 			continue
 		}
 		if s.time > horizon {
-			// Advance to the horizon, but never rewind: a Run with a
-			// horizon earlier than the current time is a no-op.
-			if horizon > e.now {
-				e.now = horizon
-			}
-			return e.now
+			return e.stopAt(horizon)
 		}
 		t, action := s.time, s.action
 		e.popHead()
@@ -341,7 +474,17 @@ func (e *Engine) Run(horizon float64) float64 {
 		e.nRun++
 		action.Fire()
 	}
-	if e.now < horizon && len(e.heap) == 0 {
+	if e.now < horizon && len(e.heap) == 0 && e.laneEvents == 0 {
+		e.now = horizon
+	}
+	return e.now
+}
+
+// stopAt ends a Run whose next event lies beyond the horizon: time advances
+// to the horizon but never rewinds, so a Run with a horizon earlier than the
+// current time is a no-op.
+func (e *Engine) stopAt(horizon float64) float64 {
+	if horizon > e.now {
 		e.now = horizon
 	}
 	return e.now

@@ -1,12 +1,15 @@
 package sim
 
 // Sim-core microbenchmarks: the per-event cost every simulated second pays.
-// The schedule→run, cancel-churn, nested-timer and metrics-handle bodies are
-// shared with TestSimCoreAllocs, which runs each under testing.AllocsPerRun
+// The schedule→run, cancel-churn, nested-timer, hop-lane and metrics-handle
+// bodies are shared with TestSimCoreAllocs, which runs each under testing.AllocsPerRun
 // and fails when it allocates, so a regression in the pooled event queue or
 // the metrics hot path fails `go test ./...`.
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // batch is how many events one schedule→run or cancel-churn round queues
 // before draining them.
@@ -73,6 +76,68 @@ func (c *timerChain) run(n int) error {
 	return c.err
 }
 
+// hopUnits models transaction units forwarded hop by hop: width units in
+// flight, each re-pushing itself onto a lane when it fires, beside a
+// self-rescheduling heap event per delay (the τ tick), so Run merges the
+// two queues the way a payment run does.
+type hopUnits struct {
+	e            *Engine
+	lane         *Lane
+	units        []hopUnit
+	fired, n     int
+	ticks, tickN int
+	tick         func() // the heap event, made once: a method value per Schedule would allocate
+	err          error
+}
+
+// hopUnit is one unit's hop timer.
+type hopUnit struct{ h *hopUnits }
+
+func (u *hopUnit) Fire() {
+	h := u.h
+	h.fired++
+	if h.fired+len(h.units) <= h.n {
+		h.lane.Push(u)
+	}
+}
+
+func newHopUnits(e *Engine, width int) (*hopUnits, error) {
+	lane, err := e.NewLane(1, 3)
+	if err != nil {
+		return nil, err
+	}
+	h := &hopUnits{e: e, lane: lane, units: make([]hopUnit, width)}
+	for i := range h.units {
+		h.units[i].h = h
+	}
+	// The heap side: one event per lane delay while units are in flight.
+	h.tick = func() {
+		h.ticks++
+		if h.ticks < h.tickN && h.err == nil {
+			_, h.err = h.e.After(1, 0, h.tick)
+		}
+	}
+	return h, nil
+}
+
+// run fires n lane events (n >= width) to completion.
+func (h *hopUnits) run(n int) error {
+	h.fired, h.n = 0, n
+	h.ticks, h.tickN = 0, n/len(h.units)+1
+	start := h.e.Now()
+	for i := range h.units {
+		h.lane.Push(&h.units[i])
+	}
+	if _, err := h.e.Schedule(start+0.5, 0, h.tick); err != nil {
+		return err
+	}
+	h.e.Run(start + float64(n/len(h.units)) + 4)
+	if h.err == nil && h.fired != n {
+		return fmt.Errorf("hop lane fired %d events, want %d", h.fired, n)
+	}
+	return h.err
+}
+
 // metricsHop returns the per-hop metrics pattern of a settled hop in
 // payment.go: two counter adds and one histogram observation through
 // handles resolved once.
@@ -128,6 +193,21 @@ func BenchmarkEngineNestedTimers(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineHopLane measures the transaction-unit hop pattern on a
+// lane: 512 units in flight, each firing once per hop delay and re-pushing
+// itself, merged with one heap event per delay.
+func BenchmarkEngineHopLane(b *testing.B) {
+	h, err := newHopUnits(NewEngine(), 512)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := h.run(max(b.N, 512)); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkMetricsHot measures the per-hop metrics pattern (metricsHop).
 func BenchmarkMetricsHot(b *testing.B) {
 	hop := metricsHop(NewMetrics())
@@ -139,9 +219,10 @@ func BenchmarkMetricsHot(b *testing.B) {
 }
 
 // TestSimCoreAllocs is the allocation gate of the sim-core hot paths: one
-// schedule→run batch, one cancel-churn batch, one 1024-event timer chain
-// and one metrics hop must each allocate nothing once the engine's slot
-// arena and the histogram's reservoir are warm.
+// schedule→run batch, one cancel-churn batch, one 1024-event timer chain,
+// one 1024-event hop-lane run and one metrics hop must each allocate
+// nothing once the engine's slot arena, the lane's ring and the histogram's
+// reservoir are warm.
 func TestSimCoreAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate skipped under -short: race runs use -short, and the race detector changes allocation counts")
@@ -149,6 +230,10 @@ func TestSimCoreAllocs(t *testing.T) {
 	action := func() {}
 	scheduleEngine, cancelEngine := NewEngine(), NewEngine()
 	chain := newTimerChain(NewEngine())
+	hops, err := newHopUnits(NewEngine(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
 	hop := metricsHop(NewMetrics())
 	for i := 0; i < sampleCap; i++ {
 		hop(i) // fill the reservoir: the steady state appends nothing
@@ -161,6 +246,7 @@ func TestSimCoreAllocs(t *testing.T) {
 		{"engine_schedule_run", func() error { return scheduleRunBatch(scheduleEngine, action, batch) }},
 		{"engine_cancel_churn", func() error { return cancelChurnBatch(cancelEngine, action, batch) }},
 		{"engine_nested_timers", func() error { return chain.run(batch) }},
+		{"engine_hop_lane", func() error { return hops.run(batch) }},
 		{"metrics_hot", func() error { hop(i); i++; return nil }},
 	}
 	for _, tc := range cases {

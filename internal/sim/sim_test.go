@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -391,4 +392,110 @@ func TestHandlerEvents(t *testing.T) {
 			t.Fatal("priority beyond int32 allowed")
 		}
 	}
+}
+
+// TestLaneEventsSurviveHorizon: a lane event past the horizon stays queued,
+// counts in PendingEvents and fires on the next Run, merged in order with
+// the heap.
+func TestLaneEventsSurviveHorizon(t *testing.T) {
+	e := NewEngine()
+	lane, err := e.NewLane(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	h := func(name string) Handler { return &recorder{name, &order} }
+	lane.Push(h("lane@2"))
+	if _, err := e.Schedule(1, 0, func() {
+		order = append(order, "heap@1")
+		lane.Push(h("lane@3"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.ScheduleHandler(2.5, 0, h("heap@2.5")); err != nil {
+		t.Fatal(err)
+	}
+	if now := e.Run(1.5); now != 1.5 {
+		t.Fatalf("first run ended at %v, want 1.5", now)
+	}
+	if len(order) != 1 || e.PendingEvents() != 3 {
+		t.Fatalf("after Run(1.5): order %v, %d pending; want [heap@1] and 3 pending", order, e.PendingEvents())
+	}
+	if now := e.Run(10); now != 10 {
+		t.Fatalf("second run ended at %v, want 10", now)
+	}
+	want := []string{"heap@1", "lane@2", "heap@2.5", "lane@3"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	if e.PendingEvents() != 0 || e.EventsRun() != 4 {
+		t.Fatalf("%d pending, %d run; want 0 and 4", e.PendingEvents(), e.EventsRun())
+	}
+}
+
+// TestHaltFromLaneEvent: Halt called by a lane event stops the run after it;
+// the rest stays queued and a later Run fires it.
+func TestHaltFromLaneEvent(t *testing.T) {
+	e := NewEngine()
+	lane, err := e.NewLane(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := 0
+	for i := 0; i < 3; i++ {
+		lane.Push(haltAt{&count, 2, e})
+	}
+	if _, err := e.Schedule(5, 0, func() { count++ }); err != nil {
+		t.Fatal(err)
+	}
+	if now := e.Run(10); now != 1 || count != 2 {
+		t.Fatalf("halted run ended at %v after %d events, want 1 and 2", now, count)
+	}
+	if e.PendingEvents() != 2 {
+		t.Fatalf("%d pending after Halt, want 2", e.PendingEvents())
+	}
+	e.Run(10)
+	if count != 4 || e.Now() != 10 {
+		t.Fatalf("resumed run: %d events by %v, want 4 by 10", count, e.Now())
+	}
+}
+
+// haltAt counts its firings and halts the engine on the n-th.
+type haltAt struct {
+	count *int
+	n     int
+	e     *Engine
+}
+
+func (h haltAt) Fire() {
+	*h.count++
+	if *h.count == h.n {
+		h.e.Halt()
+	}
+}
+
+// TestNewLaneValidation: a lane needs a finite, non-negative delay and an
+// int32 priority, and refuses a nil action.
+func TestNewLaneValidation(t *testing.T) {
+	e := NewEngine()
+	for _, d := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := e.NewLane(d, 0); err == nil {
+			t.Errorf("lane delay %v allowed", d)
+		}
+	}
+	if big := int64(math.MaxInt32) + 1; int64(int(big)) == big { // 64-bit int
+		if _, err := e.NewLane(1, int(big)); err == nil {
+			t.Error("lane priority beyond int32 allowed")
+		}
+	}
+	lane, err := e.NewLane(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("nil lane action allowed")
+		}
+	}()
+	lane.Push(nil)
 }
