@@ -28,12 +28,17 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden CSV fixture
 // retry-resilience panel: the unarmed columns double as a second witness
 // that arming the spec's retry block does not move any retry-off cell (the
 // Split(6)-last contract), and the armed columns pin the recovered TSR per
-// scheme. ln-mainnet pins the hub-label tier on the mainnet-size snapshot,
+// scheme. jamming, flash-crowd and hub-outage pin the attack panel (every
+// scheme plus Splicer(online) over each attack's intensity grid);
+// replay-snapshot and bursty-hubspoke the scheme-table runner over a
+// replayed trace and on-off demand on a hub-spoke topology. ln-mainnet pins the hub-label tier on the mainnet-size snapshot,
 // trimmed (see trimmedGolden). fig9a–f pin the placement panels: both
 // solvers, the ω sweep and the delay/overhead model at both scales.
 var goldenEntries = []string{
 	"fig7a", "fig7b", "fig7c", "fig7d", "figchurn", "table1", "table2",
 	"retry-jamming", "retry-flash-crowd", "retry-hub-outage",
+	"jamming", "flash-crowd", "hub-outage",
+	"replay-snapshot", "bursty-hubspoke",
 	"ln-mainnet",
 	"fig9a", "fig9b", "fig9c", "fig9d", "fig9e", "fig9f",
 }

@@ -13,7 +13,10 @@ func trimmedRetry(t *testing.T, name string) Spec {
 	if !ok {
 		t.Fatalf("registry is missing %q", name)
 	}
+	// The registry's blocks are shared: trim a copy of the attack.
 	s := e.Base
+	a := *s.Attack
+	s.Attack = &a
 	s.Topology.Nodes = 50
 	s.Workload.Rate = 30
 	s.Workload.Duration = 2
