@@ -239,11 +239,18 @@ func TestAttackUnderChurn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			horizon := dcfg.End() + 1
+			if err := n.BeginRun(horizon); err != nil {
+				t.Fatal(err)
+			}
 			inj.AttachDriver(d)
 			if err := inj.Install(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := d.Run(); err != nil {
+			if err := d.Install(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := n.Execute(horizon); err != nil {
 				t.Fatal(err)
 			}
 			if err := n.CheckConservation(); err != nil {

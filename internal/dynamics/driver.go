@@ -107,17 +107,15 @@ func (d *Driver) Log() []Applied { return d.applied }
 // failed (failures skip the re-placement and keep the current hub set).
 func (d *Driver) ReplaceStats() (runs, errs int) { return d.replaceRuns, d.replaceErrs }
 
-// Run executes the dynamic simulation: structural events and the demand
-// process over [0, Horizon), then a drain window for in-flight payments.
-func (d *Driver) Run() (pcn.Result, error) {
-	horizon := d.cfg.Horizon + d.cfg.Timeout + 1
-	if err := d.net.BeginRun(horizon); err != nil {
-		return pcn.Result{}, err
-	}
+// Install schedules the driver's events on a network whose run has begun
+// (pcn.Network.BeginRun, to a horizon past Config.End): the structural
+// timeline, the periodic processes and the demand process. The events fire
+// inside the network's event loop.
+func (d *Driver) Install() error {
 	for i := range d.timeline {
 		ev := d.timeline[i]
 		if err := d.net.At(ev.Time, func() { d.apply(ev) }); err != nil {
-			return pcn.Result{}, err
+			return err
 		}
 	}
 	// Periodic processes tick at i·interval below the demand horizon, on
@@ -134,13 +132,10 @@ func (d *Driver) Run() (pcn.Result, error) {
 			continue
 		}
 		if err := d.net.Every(p.interval, d.cfg.Horizon, p.action); err != nil {
-			return pcn.Result{}, err
+			return err
 		}
 	}
-	if err := d.arrivals.scheduleAfter(0); err != nil {
-		return pcn.Result{}, err
-	}
-	return d.net.Execute(horizon)
+	return d.arrivals.scheduleAfter(0)
 }
 
 // arrivalProcess is the nonhomogeneous Poisson demand process, extended by

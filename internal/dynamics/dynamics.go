@@ -187,6 +187,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// End returns the last deadline a dynamic run can give a payment: the
+// demand stops at Horizon and its payments drain for Timeout after. A run
+// executes to a horizon past End.
+func (c Config) End() float64 { return c.Horizon + c.Timeout }
+
 // diurnalPeriod resolves the default (one cycle per horizon).
 func (c Config) diurnalPeriod() float64 {
 	if c.DiurnalPeriod > 0 {

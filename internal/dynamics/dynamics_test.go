@@ -12,6 +12,19 @@ import (
 	"github.com/splicer-pcn/splicer/internal/workload"
 )
 
+// runDriver runs d alone on its network: the scenario engine's run sequence
+// with neither a static trace nor an attack.
+func runDriver(d *Driver) (pcn.Result, error) {
+	horizon := d.cfg.End() + 1
+	if err := d.net.BeginRun(horizon); err != nil {
+		return pcn.Result{}, err
+	}
+	if err := d.Install(); err != nil {
+		return pcn.Result{}, err
+	}
+	return d.net.Execute(horizon)
+}
+
 // testNetwork builds a Watts–Strogatz network under the given scheme.
 func testNetwork(t testing.TB, seed uint64, nodes int, scheme pcn.Scheme) *pcn.Network {
 	t.Helper()
@@ -108,7 +121,7 @@ func runOnce(t testing.TB, seed uint64, scheme pcn.Scheme, cfg Config) (pcn.Resu
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Run()
+	res, err := runDriver(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +150,7 @@ func TestDriverAppliesChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Run()
+	res, err := runDriver(d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestConservationUnderChurn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := d.Run(); err != nil {
+			if _, err := runDriver(d); err != nil {
 				t.Fatal(err)
 			}
 			applied := 0

@@ -28,7 +28,7 @@ func TestDriverPublishesEpochsUnderChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Run(); err != nil {
+	if _, err := runDriver(d); err != nil {
 		t.Fatal(err)
 	}
 
@@ -75,7 +75,7 @@ func TestSnapshotsDoNotPerturbDrivenRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := d.Run()
+		res, err := runDriver(d)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,8 +61,8 @@ func TestAttackPanelSmoke(t *testing.T) {
 }
 
 // TestAttackStaticPath pins the trace-replay composition: a spec with an
-// attack block and no dynamics block runs through the decomposed static
-// path (extended horizon, same engine) and conserves funds.
+// attack block and no dynamics block runs its static trace and the attack
+// on one engine, to a horizon past both, and conserves funds.
 func TestAttackStaticPath(t *testing.T) {
 	s := trimmedAttack(t, "jamming")
 	s.Dynamics = nil
@@ -91,6 +91,32 @@ func TestAttackStaticPath(t *testing.T) {
 	}
 	if res.Generated != resClean.Generated {
 		t.Fatalf("honest Generated differs with/without attack: %d vs %d", res.Generated, resClean.Generated)
+	}
+}
+
+// TestAttackOutlastsDemand pins the one run horizon: a dynamic spec whose
+// attack runs past the demand's last deadline (Duration + Timeout) still
+// executes to the attack's end, so every TU the jam holds is released
+// before the run stops — the unwind a static attacked run always covered.
+func TestAttackOutlastsDemand(t *testing.T) {
+	s := trimmedAttack(t, "jamming")
+	s.Attack.Intensity = 25
+	s.Attack.Start = s.Workload.Duration + 2
+	s.Attack.Duration = 2
+	if end, demand := s.attackConfig().End(), s.Workload.Duration+s.Workload.Timeout; end <= demand {
+		t.Fatalf("attack ends at %g, within the demand's %g", end, demand)
+	}
+	for _, scheme := range []pcn.Scheme{pcn.SchemeSplicer, pcn.SchemeShortestPath} {
+		res, err := s.RunScheme(scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.AdversarialGenerated == 0 || res.HeldTUs == 0 {
+			t.Fatalf("%v: the late jam delivered %d payments and held %d TUs", scheme, res.AdversarialGenerated, res.HeldTUs)
+		}
+		if released := res.FailureReasons["held_released"]; released != res.HeldTUs {
+			t.Fatalf("%v: %d of %d held TUs released before the horizon", scheme, released, res.HeldTUs)
+		}
 	}
 }
 

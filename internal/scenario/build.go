@@ -12,7 +12,6 @@ import (
 	"github.com/splicer-pcn/splicer/internal/graph"
 	"github.com/splicer-pcn/splicer/internal/pcn"
 	"github.com/splicer-pcn/splicer/internal/rng"
-	"github.com/splicer-pcn/splicer/internal/sweep"
 	"github.com/splicer-pcn/splicer/internal/topology"
 	"github.com/splicer-pcn/splicer/internal/workload"
 )
@@ -198,65 +197,47 @@ func (s Spec) runConfig(st *buildState, cfg pcn.Config) (pcn.Result, error) {
 	return s.runNetwork(st, net)
 }
 
-// runNetwork drives the static, attacked or dynamic run path the spec
-// selects over a network built on st's topology, and checks conservation.
+// runNetwork runs a network built on st's topology through the one run
+// sequence every cell takes — begin, static trace, attack, dynamics, retry
+// jitter, execute — and checks conservation. The horizon is one second past
+// the latest of the trace's last deadline, the dynamic demand's last
+// deadline and the attack's last event, so every run covers its payments'
+// and its attack's unwind. The attack installs before the dynamics, which
+// keeps same-instant external events in the order the two layers were
+// written against. The injector draws from Split(5), disjoint from every
+// other build stream, so a spec minus its attack block reproduces the
+// unattacked cell exactly.
 func (s Spec) runNetwork(st *buildState, net *pcn.Network) (pcn.Result, error) {
+	var (
+		trace []workload.Tx
+		drv   *dynamics.Driver
+		inj   *attack.Injector
+		end   float64
+		err   error
+	)
 	if s.Dynamics != nil {
-		d, err := dynamics.NewDriver(net, st.src.Split(4), s.dynConfig())
-		if err != nil {
+		cfg := s.dynConfig()
+		if drv, err = dynamics.NewDriver(net, st.src.Split(4), cfg); err != nil {
 			return pcn.Result{}, err
 		}
-		if s.Attack != nil {
-			inj, err := attack.NewInjector(net, st.src.Split(5), s.attackConfig())
-			if err != nil {
-				return pcn.Result{}, err
-			}
-			inj.AttachDriver(d)
-			if err := inj.Install(); err != nil {
-				return pcn.Result{}, err
-			}
-		}
-		st.seedRetry(net)
-		res, err := d.Run()
-		if err != nil {
+		end = cfg.End()
+	} else {
+		if trace, err = st.trace(); err != nil {
 			return pcn.Result{}, err
 		}
-		return res, net.CheckConservation()
-	}
-	trace, err := st.trace()
-	if err != nil {
-		return pcn.Result{}, err
+		if len(trace) == 0 {
+			return pcn.Result{}, fmt.Errorf("pcn: empty trace")
+		}
+		end = trace[len(trace)-1].Deadline
 	}
 	if s.Attack != nil {
-		res, err := s.runStaticAttack(st, net, trace)
-		if err != nil {
+		acfg := s.attackConfig()
+		if inj, err = attack.NewInjector(net, st.src.Split(5), acfg); err != nil {
 			return pcn.Result{}, err
 		}
-		return res, net.CheckConservation()
+		end = max(end, acfg.End())
 	}
-	st.seedRetry(net)
-	res, err := net.Run(trace)
-	if err != nil {
-		return pcn.Result{}, err
-	}
-	return res, net.CheckConservation()
-}
-
-// runStaticAttack replays the static trace with an injector armed:
-// pcn.Network.Run decomposed onto the stepwise API so the attack's events
-// land on the same engine and the horizon covers the attack's unwind
-// (held payments release, struck hubs recover) past the trace's own end.
-// The injector draws from Split(5), disjoint from every other build stream,
-// so a spec minus its attack block reproduces the unattacked cell exactly.
-func (s Spec) runStaticAttack(st *buildState, net *pcn.Network, trace []workload.Tx) (pcn.Result, error) {
-	if len(trace) == 0 {
-		return pcn.Result{}, fmt.Errorf("pcn: empty trace")
-	}
-	acfg := s.attackConfig()
-	horizon := trace[len(trace)-1].Deadline + 1
-	if end := acfg.End() + 1; end > horizon {
-		horizon = end
-	}
+	horizon := end + 1
 	if err := net.BeginRun(horizon); err != nil {
 		return pcn.Result{}, err
 	}
@@ -265,20 +246,30 @@ func (s Spec) runStaticAttack(st *buildState, net *pcn.Network, trace []workload
 			return pcn.Result{}, err
 		}
 	}
-	inj, err := attack.NewInjector(net, st.src.Split(5), acfg)
+	if inj != nil {
+		if drv != nil {
+			inj.AttachDriver(drv)
+		}
+		if err := inj.Install(); err != nil {
+			return pcn.Result{}, err
+		}
+	}
+	if drv != nil {
+		if err := drv.Install(); err != nil {
+			return pcn.Result{}, err
+		}
+	}
+	st.seedRetry(net)
+	res, err := net.Execute(horizon)
 	if err != nil {
 		return pcn.Result{}, err
 	}
-	if err := inj.Install(); err != nil {
-		return pcn.Result{}, err
-	}
-	st.seedRetry(net)
-	return net.Execute(horizon)
+	return res, net.CheckConservation()
 }
 
 // seedRetry hands the retry layer its backoff-jitter stream — the spec
-// source's Split(6). It is the LAST split drawn in every run path (after
-// Split(4)/Split(5) when those are armed) and is drawn only when the spec's
+// source's Split(6). It is the LAST split a run draws (after Split(4) and
+// Split(5) when those are armed) and is drawn only when the spec's
 // retry block is armed, so cells without retries consume exactly the
 // historical stream sequence and stay byte-identical.
 func (st *buildState) seedRetry(net *pcn.Network) {
@@ -297,18 +288,4 @@ func (s Spec) Run() (pcn.Result, error) {
 		return pcn.Result{}, err
 	}
 	return s.RunScheme(scheme)
-}
-
-// Cell packages one (scheme, axis point) run as a sweep cell. The Run hook
-// owns a private graph, trace and network, so cells parallelize on sweep
-// workers without shared state.
-func (s Spec) Cell(scheme pcn.Scheme, axis string, x float64, label string) sweep.Cell {
-	return sweep.Cell{
-		Scheme: scheme,
-		Seed:   s.Seed,
-		Axis:   axis,
-		X:      x,
-		Label:  label,
-		Run:    func(planners int) (pcn.Result, error) { return s.runScheme(scheme, planners) },
-	}
 }

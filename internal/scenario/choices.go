@@ -1,7 +1,6 @@
 // The routing-choice study (Table II): Splicer's TSR for each path type,
 // path count and queue scheduling algorithm, at small and large scales.
-// Cell order (choice-major, small before large, then seed) and labels are
-// part of the golden-fixture contract.
+// Rows keep the choice order; each reads its two groups by position.
 package scenario
 
 import (
@@ -10,7 +9,6 @@ import (
 	"github.com/splicer-pcn/splicer/internal/channel"
 	"github.com/splicer-pcn/splicer/internal/pcn"
 	"github.com/splicer-pcn/splicer/internal/routing"
-	"github.com/splicer-pcn/splicer/internal/sweep"
 )
 
 // TableIIRow is one cell group of Table II: a routing choice and its TSR at
@@ -46,8 +44,8 @@ func (o *ChoicesOptions) fill() {
 }
 
 // RoutingChoices runs the Table II study over the small and large base
-// specs. All cells run on one sweep worker pool; cell order is fixed so the
-// rows are identical for any worker count.
+// specs through the panel runner, so the rows are identical for any worker
+// count.
 func RoutingChoices(small, large Spec, opts ChoicesOptions, run RunOptions) ([]TableIIRow, error) {
 	opts.fill()
 	type choice struct {
@@ -56,52 +54,43 @@ func RoutingChoices(small, large Spec, opts ChoicesOptions, run RunOptions) ([]T
 	}
 	var choices []choice
 	for _, pt := range opts.PathTypes {
-		pt := pt
 		choices = append(choices, choice{"Path Type", pt.String(), func(r *RoutingSpec) { r.PathType = pt.String() }})
 	}
 	for _, k := range opts.PathNumbers {
-		k := k
 		choices = append(choices, choice{"Path Number", fmt.Sprintf("%d", k), func(r *RoutingSpec) { r.NumPaths = k }})
 	}
 	for _, name := range opts.Schedulers {
-		name := name
 		if _, err := channel.SchedulerByName(name); err != nil {
 			return nil, err
 		}
 		choices = append(choices, choice{"Scheduling Algorithm", name, func(r *RoutingSpec) { r.Scheduler = name }})
 	}
-	// One cell per (choice, scale, seed); each (choice, scale) group keys on
-	// its label and the rows report the across-seed mean TSR.
-	var cells []sweep.Cell
-	addCells := func(scen Spec, label string, apply func(*RoutingSpec)) {
-		for _, seed := range run.seedsFor(scen.Seed) {
-			cell := scen
-			cell.Seed = seed
-			apply(&cell.Routing)
-			cells = append(cells, cell.Cell(pcn.SchemeSplicer, "scale", 0, label))
-		}
+	// One group per (choice, scale), small before large; the rows report
+	// each group's across-seed mean TSR.
+	scales := []struct {
+		name string
+		spec Spec
+	}{{"small", small}, {"large", large}}
+	if opts.SkipLarge {
+		scales = scales[:1]
 	}
+	var groups []group
 	for _, ch := range choices {
-		label := ch.group + "/" + ch.name
-		addCells(small, label+" small", ch.apply)
-		if !opts.SkipLarge {
-			addCells(large, label+" large", ch.apply)
+		for _, sc := range scales {
+			s := sc.spec
+			ch.apply(&s.Routing)
+			groups = append(groups, group{s, pcn.SchemeSplicer, ch.group + "/" + ch.name + " " + sc.name})
 		}
 	}
-	results := sweep.Run(cells, run.workerCount())
-	if err := sweep.FirstErr(results); err != nil {
+	sums, err := runGroups(groups, run)
+	if err != nil {
 		return nil, fmt.Errorf("scenario: routing choices: %w", err)
-	}
-	tsrByLabel := map[string]float64{}
-	for _, s := range sweep.Aggregate(results) {
-		tsrByLabel[s.Label] = s.TSR.Mean
 	}
 	rows := make([]TableIIRow, len(choices))
 	for i, ch := range choices {
-		label := ch.group + "/" + ch.name
-		rows[i] = TableIIRow{Group: ch.group, Choice: ch.name, Small: tsrByLabel[label+" small"]}
+		rows[i] = TableIIRow{Group: ch.group, Choice: ch.name, Small: sums[i*len(scales)].TSR.Mean}
 		if !opts.SkipLarge {
-			rows[i].Large = tsrByLabel[label+" large"]
+			rows[i].Large = sums[i*len(scales)+1].TSR.Mean
 		}
 	}
 	return rows, nil

@@ -1,9 +1,10 @@
-// Sweep runners: the generic machinery that turns a base Spec plus a
-// declarative axis into figure series and tables on the internal/sweep
-// worker pool. Cell order is fixed (x-major, then scheme/variant, then
-// seed) and aggregation folds in that order, so every runner's output is
-// byte-identical for any worker count — the same contract the hand-wired
-// experiment runners had.
+// The panel runner: every swept panel — figure, churn, attack, retry,
+// scheme table, routing choices — is an ordered list of groups, each a spec
+// run under one scheme and replicated over the run's seeds. runGroups lays
+// the cells out group by group with the seeds innermost, runs them on one
+// sweep and summarizes each group's contiguous slice, so a panel reads its
+// summaries by position and its output is byte-identical for any worker
+// count.
 package scenario
 
 import (
@@ -52,14 +53,6 @@ type RunOptions struct {
 	Workers int
 }
 
-func (o RunOptions) seedsFor(base uint64) []uint64 {
-	out := make([]uint64, max(o.SeedCount, 1))
-	for i := range out {
-		out[i] = base + uint64(i)
-	}
-	return out
-}
-
 func (o RunOptions) workerCount() int {
 	switch {
 	case o.Workers < 0:
@@ -71,67 +64,137 @@ func (o RunOptions) workerCount() int {
 	}
 }
 
-// parseSchemes maps scheme names through the policy registry.
-func parseSchemes(names []string) ([]pcn.Scheme, error) {
-	out := make([]pcn.Scheme, len(names))
-	for i, name := range names {
-		s, err := pcn.SchemeByName(name)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-// figKey addresses one figure point in the aggregated sweep output.
-type figKey struct {
+// group is one point of a panel: a spec, at its base seed, run under one
+// scheme.
+type group struct {
+	spec   Spec
 	scheme pcn.Scheme
-	x      float64
+	name   string // names the point in a cell error
 }
 
-// RunFigure sweeps the axis over every scheme: each (x, scheme, seed) cell
-// is an independent simulation, and each figure point is the across-seed
-// mean of the chosen metric.
-func RunFigure(base Spec, axis Axis, schemeNames []string, metric Metric, opts RunOptions) ([]Series, error) {
-	schemes, err := parseSchemes(schemeNames)
-	if err != nil {
-		return nil, err
-	}
-	var cells []sweep.Cell
-	for _, x := range axis.Values {
-		scen, err := base.withParam(axis.Param, x)
-		if err != nil {
-			return nil, err
-		}
-		for _, scheme := range schemes {
-			for _, seed := range opts.seedsFor(base.Seed) {
-				cell := scen
-				cell.Seed = seed
-				cells = append(cells, cell.Cell(scheme, axis.Param, x, ""))
-			}
+// runGroups runs every group over the run's seeds on one sweep and returns
+// one summary per group, in group order.
+func runGroups(groups []group, opts RunOptions) ([]sweep.Summary, error) {
+	seeds := max(opts.SeedCount, 1)
+	cells := make([]sweep.Cell, 0, len(groups)*seeds)
+	for _, g := range groups {
+		for k := range seeds {
+			s := g.spec
+			s.Seed += uint64(k)
+			cells = append(cells, sweep.Cell{
+				Name: fmt.Sprintf("%s seed=%d", g.name, s.Seed),
+				Run:  func(planners int) (pcn.Result, error) { return s.runScheme(g.scheme, planners) },
+			})
 		}
 	}
 	results := sweep.Run(cells, opts.workerCount())
 	if err := sweep.FirstErr(results); err != nil {
 		return nil, err
 	}
-	byKey := map[figKey]sweep.Summary{}
-	for _, s := range sweep.Aggregate(results) {
-		byKey[figKey{s.Scheme, s.X}] = s
+	out := make([]sweep.Summary, len(groups))
+	for i := range out {
+		out[i] = sweep.Summarize(results[i*seeds : (i+1)*seeds])
 	}
-	out := make([]Series, len(schemes))
-	for si, scheme := range schemes {
-		out[si].Name = scheme.String()
-		for _, x := range axis.Values {
-			y, err := metric.of(byKey[figKey{scheme, x}])
+	return out, nil
+}
+
+// variant is one series of a swept panel: a scheme, and an optional edit of
+// the spec at every x.
+type variant struct {
+	name   string
+	scheme pcn.Scheme
+	edit   func(*Spec)
+}
+
+// schemeVariants maps scheme names through the policy registry, one plain
+// variant each.
+func schemeVariants(names []string) ([]variant, error) {
+	out := make([]variant, len(names))
+	for i, name := range names {
+		s, err := pcn.SchemeByName(name)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = variant{name: s.String(), scheme: s}
+	}
+	return out, nil
+}
+
+// runGrid runs every variant at every value of the swept parameter, x-major:
+// variant v at the i-th value is summary i·len(variants)+v.
+func runGrid(base Spec, param string, xs []float64, variants []variant, opts RunOptions) ([]sweep.Summary, error) {
+	groups := make([]group, 0, len(xs)*len(variants))
+	for _, x := range xs {
+		scen, err := base.withParam(param, x)
+		if err != nil {
+			return nil, err
+		}
+		for _, v := range variants {
+			s := scen
+			if v.edit != nil {
+				v.edit(&s)
+			}
+			groups = append(groups, group{s, v.scheme, fmt.Sprintf("%s %s=%g", v.name, param, x)})
+		}
+	}
+	return runGroups(groups, opts)
+}
+
+// RunFigure sweeps the axis over every scheme: each (x, scheme, seed) cell
+// is an independent simulation, and each figure point is the across-seed
+// mean of the chosen metric.
+func RunFigure(base Spec, axis Axis, schemeNames []string, metric Metric, opts RunOptions) ([]Series, error) {
+	variants, err := schemeVariants(schemeNames)
+	if err != nil {
+		return nil, err
+	}
+	sums, err := runGrid(base, axis.Param, axis.Values, variants, opts)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Series, len(variants))
+	for vi, v := range variants {
+		out[vi].Name = v.name
+		for xi, x := range axis.Values {
+			y, err := metric.of(sums[xi*len(variants)+vi])
 			if err != nil {
 				return nil, err
 			}
-			out[si].Points = append(out[si].Points, Point{X: x, Y: y})
+			out[vi].Points = append(out[vi].Points, Point{X: x, Y: y})
 		}
 	}
 	return out, nil
+}
+
+// panelSeries reads a grid's summaries into one TSR, one mean-delay and one
+// failure-reason series per variant.
+func panelSeries(xs []float64, variants []variant, sums []sweep.Summary) (tsr, delay []Series, reasons []ReasonSeries) {
+	tsr = make([]Series, len(variants))
+	delay = make([]Series, len(variants))
+	reasons = make([]ReasonSeries, len(variants))
+	for vi, v := range variants {
+		tsr[vi].Name, delay[vi].Name, reasons[vi].Name = v.name, v.name, v.name
+		for xi, x := range xs {
+			s := sums[xi*len(variants)+vi]
+			tsr[vi].Points = append(tsr[vi].Points, Point{X: x, Y: s.TSR.Mean})
+			delay[vi].Points = append(delay[vi].Points, Point{X: x, Y: s.MeanDelay.Mean})
+			reasons[vi].Points = append(reasons[vi].Points, ReasonPoint{X: x, Reasons: reasonMeans(s)})
+		}
+	}
+	return tsr, delay, reasons
+}
+
+// reasonMeans is a summary's across-seed mean failure count per abort
+// reason (nil when it recorded none).
+func reasonMeans(s sweep.Summary) map[string]float64 {
+	if len(s.FailureReasons) == 0 {
+		return nil
+	}
+	out := make(map[string]float64, len(s.FailureReasons))
+	for reason, st := range s.FailureReasons {
+		out[reason] = st.Mean
+	}
+	return out
 }
 
 // OnlineLabel names the Splicer-with-online-re-placement churn variant.
@@ -141,73 +204,25 @@ const OnlineLabel = "Splicer(online)"
 // placement (seconds).
 const OnlineReplaceInterval = 1.0
 
-// panelVariant is one line of a scheme-panel figure (churn or attack).
-type panelVariant struct {
-	scheme  pcn.Scheme
-	label   string // aggregation label; "" for the plain scheme
-	name    string // series name
-	replace bool
-}
-
-// runVariantPanel sweeps the named parameter over every scheme plus the
+// runOnlinePanel sweeps the named parameter over every scheme plus the
 // Splicer-with-online-re-placement variant, reporting TSR and mean delay
-// series — the shared machinery behind the churn and attack panels. The
-// base spec must carry a dynamics block (the online variant re-runs
-// placement through the dynamics driver).
-func runVariantPanel(base Spec, param string, values []float64, schemeNames []string, opts RunOptions) (tsr, delay []Series, err error) {
-	schemes, err := parseSchemes(schemeNames)
+// series — the churn and attack panels. The base spec must carry a dynamics
+// block (the online variant re-runs placement through the dynamics driver).
+func runOnlinePanel(base Spec, param string, values []float64, schemeNames []string, opts RunOptions) (tsr, delay []Series, err error) {
+	variants, err := schemeVariants(schemeNames)
 	if err != nil {
 		return nil, nil, err
 	}
-	var variants []panelVariant
-	for _, sc := range schemes {
-		variants = append(variants, panelVariant{scheme: sc, name: sc.String()})
-	}
-	variants = append(variants, panelVariant{
-		scheme: pcn.SchemeSplicer, label: "online", name: OnlineLabel, replace: true,
-	})
-	var cells []sweep.Cell
-	for _, x := range values {
-		for _, v := range variants {
-			for _, seed := range opts.seedsFor(base.Seed) {
-				scen, err := base.withParam(param, x)
-				if err != nil {
-					return nil, nil, err
-				}
-				scen.Seed = seed
-				if v.replace {
-					d := *scen.Dynamics
-					d.ReplaceInterval = OnlineReplaceInterval
-					scen.Dynamics = &d
-				}
-				cells = append(cells, scen.Cell(v.scheme, param, x, v.label))
-			}
-		}
-	}
-	results := sweep.Run(cells, opts.workerCount())
-	if err := sweep.FirstErr(results); err != nil {
+	variants = append(variants, variant{name: OnlineLabel, scheme: pcn.SchemeSplicer, edit: func(s *Spec) {
+		d := *s.Dynamics
+		d.ReplaceInterval = OnlineReplaceInterval
+		s.Dynamics = &d
+	}})
+	sums, err := runGrid(base, param, values, variants, opts)
+	if err != nil {
 		return nil, nil, err
 	}
-	type key struct {
-		scheme pcn.Scheme
-		label  string
-		x      float64
-	}
-	byKey := map[key]sweep.Summary{}
-	for _, s := range sweep.Aggregate(results) {
-		byKey[key{s.Scheme, s.Label, s.X}] = s
-	}
-	tsr = make([]Series, len(variants))
-	delay = make([]Series, len(variants))
-	for vi, v := range variants {
-		tsr[vi].Name = v.name
-		delay[vi].Name = v.name
-		for _, x := range values {
-			s := byKey[key{v.scheme, v.label, x}]
-			tsr[vi].Points = append(tsr[vi].Points, Point{X: x, Y: s.TSR.Mean})
-			delay[vi].Points = append(delay[vi].Points, Point{X: x, Y: s.MeanDelay.Mean})
-		}
-	}
+	tsr, delay, _ = panelSeries(values, variants, sums)
 	return tsr, delay, nil
 }
 
@@ -219,7 +234,7 @@ func RunChurnPanel(base Spec, churnRates []float64, schemeNames []string, opts R
 	if base.Dynamics == nil {
 		return nil, nil, fmt.Errorf("scenario: churn panel needs a dynamics block in spec %q", base.Name)
 	}
-	return runVariantPanel(base, "churn_rate", churnRates, schemeNames, opts)
+	return runOnlinePanel(base, "churn_rate", churnRates, schemeNames, opts)
 }
 
 // RunAttackPanel sweeps attack intensity over every scheme plus the
@@ -235,7 +250,7 @@ func RunAttackPanel(base Spec, intensities []float64, schemeNames []string, opts
 	if base.Dynamics == nil {
 		return nil, nil, fmt.Errorf("scenario: attack panel needs a dynamics block in spec %q (the online variant re-places hubs through the dynamics driver)", base.Name)
 	}
-	return runVariantPanel(base, "attack_intensity", intensities, schemeNames, opts)
+	return runOnlinePanel(base, "attack_intensity", intensities, schemeNames, opts)
 }
 
 // RunRetryPanel is the retry-resilience panel: every scheme runs the same
@@ -255,72 +270,22 @@ func RunRetryPanel(base Spec, intensities []float64, schemeNames []string, opts 
 	if base.Routing.Retry == nil {
 		return nil, nil, nil, fmt.Errorf("scenario: retry panel needs an armed routing.retry block in spec %q", base.Name)
 	}
-	schemes, err := parseSchemes(schemeNames)
+	schemes, err := schemeVariants(schemeNames)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	type retryVariant struct {
-		scheme pcn.Scheme
-		label  string // aggregation label; "retry" for the armed variant
-		name   string
-		armed  bool
+	var variants []variant
+	for _, v := range schemes {
+		off, on := v, v
+		off.edit = func(s *Spec) { s.Routing.Retry = nil }
+		on.name += "+retry"
+		variants = append(variants, off, on)
 	}
-	var variants []retryVariant
-	for _, sc := range schemes {
-		variants = append(variants,
-			retryVariant{scheme: sc, name: sc.String()},
-			retryVariant{scheme: sc, label: "retry", name: sc.String() + "+retry", armed: true})
-	}
-	var cells []sweep.Cell
-	for _, x := range intensities {
-		for _, v := range variants {
-			for _, seed := range opts.seedsFor(base.Seed) {
-				scen, err := base.withParam("attack_intensity", x)
-				if err != nil {
-					return nil, nil, nil, err
-				}
-				scen.Seed = seed
-				if !v.armed {
-					scen.Routing.Retry = nil
-				}
-				cells = append(cells, scen.Cell(v.scheme, "attack_intensity", x, v.label))
-			}
-		}
-	}
-	results := sweep.Run(cells, opts.workerCount())
-	if err := sweep.FirstErr(results); err != nil {
+	sums, err := runGrid(base, "attack_intensity", intensities, variants, opts)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	type key struct {
-		scheme pcn.Scheme
-		label  string
-		x      float64
-	}
-	byKey := map[key]sweep.Summary{}
-	for _, s := range sweep.Aggregate(results) {
-		byKey[key{s.Scheme, s.Label, s.X}] = s
-	}
-	tsr = make([]Series, len(variants))
-	delay = make([]Series, len(variants))
-	reasons = make([]ReasonSeries, len(variants))
-	for vi, v := range variants {
-		tsr[vi].Name = v.name
-		delay[vi].Name = v.name
-		reasons[vi].Name = v.name
-		for _, x := range intensities {
-			s := byKey[key{v.scheme, v.label, x}]
-			tsr[vi].Points = append(tsr[vi].Points, Point{X: x, Y: s.TSR.Mean})
-			delay[vi].Points = append(delay[vi].Points, Point{X: x, Y: s.MeanDelay.Mean})
-			rp := ReasonPoint{X: x}
-			if len(s.FailureReasons) > 0 {
-				rp.Reasons = make(map[string]float64, len(s.FailureReasons))
-				for reason, st := range s.FailureReasons {
-					rp.Reasons[reason] = st.Mean
-				}
-			}
-			reasons[vi].Points = append(reasons[vi].Points, rp)
-		}
-	}
+	tsr, delay, reasons = panelSeries(intensities, variants, sums)
 	return tsr, delay, reasons, nil
 }
 
@@ -328,20 +293,16 @@ func RunRetryPanel(base Spec, intensities []float64, schemeNames []string, opts 
 // metrics — the presentation for standalone scenarios (replayed traces,
 // bursty workloads) that have no swept axis.
 func SchemeTable(base Spec, schemeNames []string, opts RunOptions) (Table, error) {
-	schemes, err := parseSchemes(schemeNames)
+	variants, err := schemeVariants(schemeNames)
 	if err != nil {
 		return Table{}, err
 	}
-	var cells []sweep.Cell
-	for _, scheme := range schemes {
-		for _, seed := range opts.seedsFor(base.Seed) {
-			cell := base
-			cell.Seed = seed
-			cells = append(cells, cell.Cell(scheme, "", 0, ""))
-		}
+	groups := make([]group, len(variants))
+	for i, v := range variants {
+		groups[i] = group{base, v.scheme, v.name}
 	}
-	results := sweep.Run(cells, opts.workerCount())
-	if err := sweep.FirstErr(results); err != nil {
+	sums, err := runGroups(groups, opts)
+	if err != nil {
 		return Table{}, err
 	}
 	t := Table{
@@ -349,18 +310,10 @@ func SchemeTable(base Spec, schemeNames []string, opts RunOptions) (Table, error
 		Header: []string{"scheme", "tsr", "norm_throughput", "mean_delay_s", "mean_queue_delay_s", "mean_imbalance",
 			"cache_hit_rate", "label_served", "label_repairs", "fail_reasons"},
 	}
-	byScheme := map[pcn.Scheme]sweep.Summary{}
-	for _, s := range sweep.Aggregate(results) {
-		byScheme[s.Scheme] = s
-	}
-	for _, scheme := range schemes {
-		s := byScheme[scheme]
-		reasonMeans := make(map[string]float64, len(s.FailureReasons))
-		for reason, st := range s.FailureReasons {
-			reasonMeans[reason] = st.Mean
-		}
+	for i, v := range variants {
+		s := sums[i]
 		t.Rows = append(t.Rows, []string{
-			scheme.String(),
+			v.name,
 			fmt.Sprintf("%.4f", s.TSR.Mean),
 			fmt.Sprintf("%.4f", s.Throughput.Mean),
 			fmt.Sprintf("%.4f", s.MeanDelay.Mean),
@@ -369,7 +322,7 @@ func SchemeTable(base Spec, schemeNames []string, opts RunOptions) (Table, error
 			fmt.Sprintf("%.4f", s.CacheHitRate.Mean),
 			fmt.Sprintf("%.1f", s.LabelServed.Mean),
 			fmt.Sprintf("%.1f", s.LabelRepairs.Mean),
-			topReasons(reasonMeans),
+			topReasons(reasonMeans(s)),
 		})
 	}
 	return t, nil

@@ -243,7 +243,7 @@ func TestFigChurn(t *testing.T) {
 	if last := tsr[len(tsr)-1].Name; last != OnlineLabel {
 		t.Fatalf("last series = %q, want %q", last, OnlineLabel)
 	}
-	if tab := ChurnTable("churn", tsr, delay); len(tab.Rows) != len(rates) || len(tab.Header) != 1+2*want {
+	if tab := PanelTable("churn", "churn_rate", tsr, delay); len(tab.Rows) != len(rates) || len(tab.Header) != 1+2*want {
 		t.Fatalf("table shape %dx%d", len(tab.Rows), len(tab.Header))
 	}
 }

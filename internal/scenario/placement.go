@@ -6,14 +6,12 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"github.com/splicer-pcn/splicer/internal/graph"
 	"github.com/splicer-pcn/splicer/internal/pcn"
 	"github.com/splicer-pcn/splicer/internal/placement"
 	"github.com/splicer-pcn/splicer/internal/rng"
+	"github.com/splicer-pcn/splicer/internal/sweep"
 	"github.com/splicer-pcn/splicer/internal/topology"
 )
 
@@ -64,29 +62,16 @@ func (p *placementParts) instance(omega float64) *placement.Instance {
 	return &inst
 }
 
-// solveOmegas runs solve on the instance of every omega, on opts.Workers
-// goroutines, and returns the results in omega order. The solves share only
-// the read-only cost matrices, so the output is the same for any width.
+// solveOmegas runs solve on the instance of every omega, on the sweep pool
+// (opts.Workers wide), and returns the results in omega order. The solves
+// share only the read-only cost matrices, so the output is the same for any
+// width.
 func solveOmegas[T any](p *placementParts, omegas []float64, opts RunOptions, solve func(*placement.Instance) (T, error)) ([]T, error) {
 	out := make([]T, len(omegas))
 	errs := make([]error, len(omegas))
-	workers := opts.workerCount()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, len(omegas))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(omegas); i = int(next.Add(1)) - 1 {
-				out[i], errs[i] = solve(p.instance(omegas[i]))
-			}
-		}()
-	}
-	wg.Wait()
+	sweep.Each(len(omegas), opts.workerCount(), func(i, _ int) {
+		out[i], errs[i] = solve(p.instance(omegas[i]))
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -299,7 +299,7 @@ type Entry struct {
 	Description string
 	Kind        Kind
 	Base        Spec
-	// XLabel is the CSV x-column for figure entries.
+	// XLabel is the CSV x-column of figure and panel entries.
 	XLabel string
 	// Axis, Schemes, Metric parameterize KindFigure (Axis.Values also feeds
 	// KindChurn).
@@ -329,7 +329,7 @@ func (e *Entry) Run(opts RunOptions) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		return ChurnTable(e.Title, tsr, delay), nil
+		return PanelTable(e.Title, e.XLabel, tsr, delay), nil
 	case KindBalanceCost:
 		series, err := BalanceCostSeries(e.Base, e.Omegas, opts)
 		if err != nil {
@@ -373,13 +373,13 @@ func (e *Entry) Run(opts RunOptions) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		return AttackTable(e.Title, tsr, delay), nil
+		return PanelTable(e.Title, e.XLabel, tsr, delay), nil
 	case KindRetry:
 		tsr, delay, reasons, err := RunRetryPanel(e.Base, e.Axis.Values, e.Schemes, opts)
 		if err != nil {
 			return Table{}, err
 		}
-		return RetryTable(e.Title, tsr, delay, reasons), nil
+		return PanelTable(e.Title, e.XLabel, tsr, delay, reasons...), nil
 	default:
 		return Table{}, fmt.Errorf("scenario: entry %q has unknown kind %d", e.Name, e.Kind)
 	}

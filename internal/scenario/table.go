@@ -119,25 +119,12 @@ func SeriesTable(title, xLabel string, series []Series) Table {
 	return t
 }
 
-// ChurnTable renders the churn panel: one row per churn rate, TSR and delay
-// columns per variant.
-func ChurnTable(title string, tsr, delay []Series) Table {
-	return PanelTable(title, "churn_rate", tsr, delay)
-}
-
-// AttackTable renders the resilience panel: one row per attack intensity,
-// TSR and delay columns per variant.
-func AttackTable(title string, tsr, delay []Series) Table {
-	return PanelTable(title, "attack_intensity", tsr, delay)
-}
-
 // PanelTable renders a two-metric scheme panel over the named x-axis: one
 // row per x value, TSR and delay columns per variant. The column layout is
 // the golden-fixture churn-panel format, generalized over the axis label.
 // Optional reason series append one "<variant> fail_reasons" column each —
 // the variant's top failure reasons as "reason=count" pairs — so retry
-// recovery is attributable per cell; callers without them (the pre-existing
-// churn and attack panels) render the historical layout unchanged.
+// recovery is attributable per cell; the churn and attack panels pass none.
 func PanelTable(title, xLabel string, tsr, delay []Series, reasons ...ReasonSeries) Table {
 	t := Table{Title: title, Header: []string{xLabel}}
 	for _, s := range tsr {
@@ -170,13 +157,6 @@ func PanelTable(title, xLabel string, tsr, delay []Series, reasons ...ReasonSeri
 		t.Rows = append(t.Rows, row)
 	}
 	return t
-}
-
-// RetryTable renders the retry-resilience panel: one row per attack
-// intensity; TSR, delay and failure-breakdown columns per scheme×{off,on}
-// variant.
-func RetryTable(title string, tsr, delay []Series, reasons []ReasonSeries) Table {
-	return PanelTable(title, "attack_intensity", tsr, delay, reasons...)
 }
 
 // TradeoffTable renders Fig. 9(b) points.

@@ -1,12 +1,14 @@
-// Package sweep runs simulation grids — scheme × seed × parameter cells —
-// on a bounded worker pool and aggregates the per-cell results into
-// mean/stddev/95%-CI summaries.
+// Package sweep is the one bounded worker pool behind every swept panel:
+// Each runs indexed jobs on it, Run runs simulation cells on it with panic
+// recovery and a per-cell share of the cores, and Summarize folds one group
+// of replicated cells into mean/stddev/95%-CI statistics.
 //
 // Each cell materializes its own Graph, trace and Network inside its Run
 // hook, so workers share no mutable state and a sweep is embarrassingly
-// parallel. Run returns results in cell order regardless of scheduling, and
-// Aggregate folds them in that fixed order, so a sweep's output is
-// byte-identical for any worker count.
+// parallel. Run returns results in cell order regardless of scheduling;
+// callers lay each group's seeds out contiguously and summarize each slice
+// in that order, so a sweep's output is byte-identical for any worker
+// count.
 package sweep
 
 import (
@@ -18,21 +20,13 @@ import (
 	"github.com/splicer-pcn/splicer/internal/pcn"
 )
 
-// Cell is one simulation of a sweep grid. Scheme, Seed and the axis fields
-// label the cell for grouping; Run executes it.
+// Cell is one simulation of a sweep grid.
 type Cell struct {
-	Scheme pcn.Scheme
-	Seed   uint64
-	// Axis names the swept parameter (e.g. "channel_scale") and X is its
-	// value for this cell. Label carries non-numeric choices (e.g. a
-	// scheduler name); cells with equal (Scheme, Axis, X, Label) aggregate
-	// into one summary across seeds.
-	Axis  string
-	X     float64
-	Label string
+	// Name identifies the cell in an error (scheme, swept point, seed).
+	Name string
 	// Run builds the cell's private graph, inputs and network and runs
 	// them. It must not share mutable state with other cells: workers call
-	// it concurrently. planners is the cell's share of the cores (see Run)
+	// it concurrently. planners is the cell's share of the cores (see Each)
 	// and belongs in pcn.Config.Parallelism unless the cell's own spec pins
 	// a width.
 	Run func(planners int) (pcn.Result, error)
@@ -67,60 +61,64 @@ func runCell(c Cell, planners int) (out CellResult) {
 	return out
 }
 
-// Run executes the cells on a bounded worker pool. workers <= 0 uses
-// GOMAXPROCS; workers == 1 runs sequentially in the calling goroutine. The
-// result slice is indexed like cells, independent of scheduling order.
+// Each calls job(i, planners) once for every i in [0, n) on a bounded
+// worker pool. workers <= 0 uses GOMAXPROCS; workers == 1 runs the jobs in
+// order in the calling goroutine. Jobs write their outcome by index, so
+// what they produce is independent of scheduling order.
 //
-// The cores are budgeted once, here: W sweep workers leave each running
-// cell max(1, GOMAXPROCS/W) of them for its own route-planning workers
+// The cores are budgeted once, here: W workers leave each job
+// max(1, GOMAXPROCS/W) of them for its own route-planning workers
 // (pcn.Config.Parallelism), so a sweep that fills the cores runs every cell
 // on the serial path and a sweep of one worker lets each cell plan on all
 // of them. Outputs are byte-identical either way.
-func Run(cells []Cell, workers int) []CellResult {
-	results := make([]CellResult, len(cells))
-	if len(cells) == 0 {
-		return results
+func Each(n, workers int, job func(i, planners int)) {
+	if n == 0 {
+		return
 	}
 	procs := runtime.GOMAXPROCS(0)
 	if workers <= 0 {
 		workers = procs
 	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
+	workers = min(workers, n)
 	planners := max(1, procs/workers)
 	if workers == 1 {
-		for i, c := range cells {
-			results[i] = runCell(c, planners)
+		for i := range n {
+			job(i, planners)
 		}
-		return results
+		return
 	}
 	work := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				results[i] = runCell(cells[i], planners)
+				job(i, planners)
 			}
 		}()
 	}
-	for i := range cells {
+	for i := range n {
 		work <- i
 	}
 	close(work)
 	wg.Wait()
+}
+
+// Run executes the cells on the pool (see Each for workers and the planner
+// budget). The result slice is indexed like cells.
+func Run(cells []Cell, workers int) []CellResult {
+	results := make([]CellResult, len(cells))
+	Each(len(cells), workers, func(i, planners int) { results[i] = runCell(cells[i], planners) })
 	return results
 }
 
 // FirstErr returns the first cell error in cell order, annotated with the
-// failing cell's labels, or nil.
+// failing cell's name, or nil.
 func FirstErr(results []CellResult) error {
 	for _, r := range results {
 		if r.Err != nil {
-			return fmt.Errorf("sweep: %v seed=%d %s=%g %s: %w",
-				r.Cell.Scheme, r.Cell.Seed, r.Cell.Axis, r.Cell.X, r.Cell.Label, r.Err)
+			return fmt.Errorf("sweep: %s: %w", r.Cell.Name, r.Err)
 		}
 	}
 	return nil

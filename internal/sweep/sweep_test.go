@@ -24,10 +24,7 @@ func testCell(scheme pcn.Scheme, seed uint64, x float64) Cell {
 // routing block would set it.
 func testCellWith(scheme pcn.Scheme, seed uint64, x float64, mutate func(*pcn.Config)) Cell {
 	return Cell{
-		Scheme: scheme,
-		Seed:   seed,
-		Axis:   "value_scale",
-		X:      x,
+		Name: fmt.Sprintf("%v seed=%d value_scale=%g", scheme, seed, x),
 		Run: func(planners int) (pcn.Result, error) {
 			src := rng.New(seed)
 			g, err := topology.WattsStrogatz(src.Split(1), 30, 4, 0.2, func() (float64, float64) { return 200, 200 })
@@ -62,6 +59,8 @@ func testCellWith(scheme pcn.Scheme, seed uint64, x float64, mutate func(*pcn.Co
 	}
 }
 
+// testGrid is two x values × two schemes with three seeds each, seeds
+// innermost: four groups of three contiguous cells.
 func testGrid() []Cell {
 	var cells []Cell
 	for _, x := range []float64{1, 2} {
@@ -79,8 +78,16 @@ func testGrid() []Cell {
 func renderResults(results []CellResult) string {
 	out := ""
 	for _, r := range results {
-		out += fmt.Sprintf("%v/%d/%s/%g/%s %+v err=%v\n",
-			r.Cell.Scheme, r.Cell.Seed, r.Cell.Axis, r.Cell.X, r.Cell.Label, r.Result, r.Err)
+		out += fmt.Sprintf("%s %+v err=%v\n", r.Cell.Name, r.Result, r.Err)
+	}
+	return out
+}
+
+// summarize summarizes a grid's groups of three contiguous seeds.
+func summarize(results []CellResult) []Summary {
+	var out []Summary
+	for i := 0; i < len(results); i += 3 {
+		out = append(out, Summarize(results[i:i+3]))
 	}
 	return out
 }
@@ -89,46 +96,37 @@ func renderResults(results []CellResult) string {
 func render(v interface{}) string { return fmt.Sprintf("%+v", v) }
 
 // TestDeterministicAcrossWorkerCounts: the same grid must produce
-// byte-identical per-cell results and aggregate stats for any worker count.
+// byte-identical per-cell results and summaries for any worker count.
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	ref := Run(testGrid(), 1)
 	if err := FirstErr(ref); err != nil {
 		t.Fatal(err)
 	}
-	refResults, refSummaries := renderResults(ref), render(Aggregate(ref))
+	refResults, refSummaries := renderResults(ref), render(summarize(ref))
 	for _, workers := range []int{2, 4, 0} {
 		got := Run(testGrid(), workers)
 		if r := renderResults(got); r != refResults {
 			t.Fatalf("workers=%d: per-cell results diverged from workers=1", workers)
 		}
-		if s := render(Aggregate(got)); s != refSummaries {
-			t.Fatalf("workers=%d: aggregate summaries diverged from workers=1", workers)
+		if s := render(summarize(got)); s != refSummaries {
+			t.Fatalf("workers=%d: summaries diverged from workers=1", workers)
 		}
 	}
 }
 
-// TestAggregateGroups: 3 seeds per (scheme, x) group → 4 groups of N=3, in
-// first-appearance order.
+// TestAggregateGroups: each group of 3 seeds summarizes to N=3 stats, and a
+// group's summary is its seeds' results folded in order — the first group
+// matches a direct fold of cells 0–2 re-run on their own.
 func TestAggregateGroups(t *testing.T) {
 	results := Run(testGrid(), 0)
 	if err := FirstErr(results); err != nil {
 		t.Fatal(err)
 	}
-	sums := Aggregate(results)
+	sums := summarize(results)
 	if len(sums) != 4 {
 		t.Fatalf("got %d groups, want 4", len(sums))
 	}
-	want := []struct {
-		scheme pcn.Scheme
-		x      float64
-	}{
-		{pcn.SchemeSplicer, 1}, {pcn.SchemeShortestPath, 1},
-		{pcn.SchemeSplicer, 2}, {pcn.SchemeShortestPath, 2},
-	}
 	for i, s := range sums {
-		if s.Scheme != want[i].scheme || s.X != want[i].x {
-			t.Fatalf("group %d = (%v, %g), want (%v, %g)", i, s.Scheme, s.X, want[i].scheme, want[i].x)
-		}
 		if s.Seeds != 3 || s.Failed != 0 {
 			t.Fatalf("group %d: Seeds=%d Failed=%d, want 3/0", i, s.Seeds, s.Failed)
 		}
@@ -138,6 +136,22 @@ func TestAggregateGroups(t *testing.T) {
 		if s.TSR.Std > 0 && s.TSR.CI95 <= 0 {
 			t.Fatalf("group %d: Std=%g but CI95=%g", i, s.TSR.Std, s.TSR.CI95)
 		}
+	}
+	var tsr []float64
+	for _, r := range results[:3] {
+		tsr = append(tsr, r.Result.TSR)
+	}
+	if want := newStats(tsr); sums[0].TSR != want {
+		t.Fatalf("group 0 TSR = %+v, want %+v", sums[0].TSR, want)
+	}
+	// A reason one seed never recorded contributes a zero sample for it.
+	pad := Summarize([]CellResult{
+		{Result: pcn.Result{FailureReasons: map[string]int{"no_funds": 4}}},
+		{Result: pcn.Result{}},
+		{Err: fmt.Errorf("boom")},
+	})
+	if r := pad.FailureReasons["no_funds"]; r.N != 2 || r.Mean != 2 || pad.Failed != 1 {
+		t.Fatalf("padded reason stats = %+v, failed %d; want N=2 Mean=2, failed 1", r, pad.Failed)
 	}
 }
 
@@ -162,22 +176,18 @@ func TestStatsMath(t *testing.T) {
 	}
 }
 
-// TestErrorPropagation: a failing cell surfaces through FirstErr and is
-// counted (not folded) by Aggregate.
+// TestErrorPropagation: a failing cell surfaces through FirstErr, named, and
+// is counted (not folded) by Summarize.
 func TestErrorPropagation(t *testing.T) {
-	bad := Cell{Scheme: pcn.SchemeSplicer, Seed: 9, Axis: "value_scale", X: 1,
+	bad := Cell{Name: "Splicer seed=9",
 		Run: func(int) (pcn.Result, error) { return pcn.Result{}, fmt.Errorf("boom") }}
 	cells := []Cell{testCell(pcn.SchemeSplicer, 3, 1), bad}
 	results := Run(cells, 2)
-	if err := FirstErr(results); err == nil {
-		t.Fatal("FirstErr missed the failing cell")
+	if err := FirstErr(results); err == nil || !strings.Contains(err.Error(), "Splicer seed=9: boom") {
+		t.Fatalf("FirstErr = %v, want the failing cell named", err)
 	}
-	sums := Aggregate(results)
-	if len(sums) != 1 {
-		t.Fatalf("got %d groups, want 1 (same key)", len(sums))
-	}
-	if sums[0].Seeds != 1 || sums[0].Failed != 1 {
-		t.Fatalf("Seeds=%d Failed=%d, want 1/1", sums[0].Seeds, sums[0].Failed)
+	if s := Summarize(results); s.Seeds != 1 || s.Failed != 1 {
+		t.Fatalf("Seeds=%d Failed=%d, want 1/1", s.Seeds, s.Failed)
 	}
 	if RunCell(Cell{}).Err == nil {
 		t.Fatal("RunCell accepted a cell without a Run hook")
@@ -192,14 +202,11 @@ func TestPoisonedCellDoesNotKillSweep(t *testing.T) {
 	const total, poisoned = 100, 41
 	cells := make([]Cell, total)
 	for i := range cells {
-		i := i
 		if i == poisoned {
-			cells[i] = Cell{Scheme: pcn.SchemeSplicer, Seed: uint64(i), Axis: "poison", X: 1,
-				Run: func(int) (pcn.Result, error) { panic("poisoned cell") }}
+			cells[i] = Cell{Name: "poisoned", Run: func(int) (pcn.Result, error) { panic("poisoned cell") }}
 			continue
 		}
-		cells[i] = Cell{Scheme: pcn.SchemeSplicer, Seed: uint64(i), Axis: "poison", X: 0,
-			Run: func(int) (pcn.Result, error) { return pcn.Result{Generated: i}, nil }}
+		cells[i] = Cell{Run: func(int) (pcn.Result, error) { return pcn.Result{Generated: i}, nil }}
 	}
 	results := Run(cells, 4)
 	for i, r := range results {
@@ -232,8 +239,7 @@ func TestPoisonedCellDoesNotKillSweep(t *testing.T) {
 // hook panics while it builds its inputs: the panic value comes back as the
 // cell's error.
 func TestBuildPanicRecovered(t *testing.T) {
-	r := RunCell(Cell{Scheme: pcn.SchemeSplicer, Seed: 1, Axis: "poison", X: 1,
-		Run: func(int) (pcn.Result, error) { panic(fmt.Errorf("bad build")) }})
+	r := RunCell(Cell{Run: func(int) (pcn.Result, error) { panic(fmt.Errorf("bad build")) }})
 	if r.Err == nil || !strings.Contains(r.Err.Error(), "bad build") {
 		t.Fatalf("build panic not recovered into Err: %v", r.Err)
 	}
