@@ -447,10 +447,10 @@ func (c *Channel) Dequeue(d Direction, s Scheduler) *QueuedTU {
 }
 
 // MarkStale marks TUs whose queueing delay exceeds threshold at time now
-// and returns them; marked TUs stay queued (hubs "do not process the packet
-// and merely forward it" — the caller decides to abort).
-func (c *Channel) MarkStale(d Direction, now, threshold float64) []*QueuedTU {
-	var marked []*QueuedTU
+// and appends them to marked, which it returns; marked TUs stay queued (hubs
+// "do not process the packet and merely forward it" — the caller decides to
+// abort). Passing a reused buffer's [:0] keeps the call allocation-free.
+func (c *Channel) MarkStale(d Direction, now, threshold float64, marked []*QueuedTU) []*QueuedTU {
 	for _, tu := range c.dirs[d].queue {
 		if !tu.Marked && now-tu.Enqueued > threshold {
 			tu.Marked = true

@@ -267,13 +267,32 @@ func TestMarkStale(t *testing.T) {
 	if err := c.Enqueue(Fwd, tu2); err != nil {
 		t.Fatal(err)
 	}
-	marked := c.MarkStale(Fwd, 5.5, 0.4) // tu1 waited 5.5 > 0.4, tu2 only 0.5 > 0.4 too
-	if len(marked) != 2 {
-		t.Fatalf("marked %d", len(marked))
+	buf := make([]*QueuedTU, 0, 4)
+	marked := c.MarkStale(Fwd, 5.5, 0.4, buf) // tu1 waited 5.5 > 0.4, tu2 only 0.5 > 0.4 too
+	if len(marked) != 2 || marked[0] != tu1 || marked[1] != tu2 {
+		t.Fatalf("marked %v, want tu1, tu2 in queue order", marked)
 	}
-	// Second call returns nothing (already marked).
-	if len(c.MarkStale(Fwd, 6, 0.4)) != 0 {
+	if &marked[0] != &buf[:1][0] {
+		t.Fatal("MarkStale did not append into the caller's buffer")
+	}
+	// A reused buffer: the second call returns nothing (already marked) and
+	// allocates nothing.
+	tu3 := &QueuedTU{ID: 3, Value: 1, Deadline: 100, Enqueued: 5.8}
+	if err := c.Enqueue(Fwd, tu3); err != nil {
+		t.Fatal(err)
+	}
+	if again := c.MarkStale(Fwd, 6, 0.4, marked[:0]); len(again) != 0 {
 		t.Fatal("re-marked TUs")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { marked = c.MarkStale(Fwd, 6, 0.4, marked[:0]) }); allocs != 0 {
+		t.Fatalf("MarkStale into a reused buffer allocated %v times", allocs)
+	}
+	// Appending keeps what the buffer already holds.
+	if got := c.MarkStale(Fwd, 7, 0.4, marked[:0]); len(got) != 1 || got[0] != tu3 {
+		t.Fatalf("marked %v, want tu3 alone", got)
+	}
+	if got := c.MarkStale(Fwd, 7, 0.4, []*QueuedTU{tu1}); len(got) != 1 || got[0] != tu1 {
+		t.Fatalf("appending to a non-empty buffer gave %v", got)
 	}
 }
 

@@ -34,8 +34,8 @@ func TestPaymentLifecycleAllocs(t *testing.T) {
 		minTSR   float64 // a sanity floor: the cell forwards payments
 		pin      float64
 	}{
-		{"splicer", SchemeSplicer, 1, 0.5, 5.57},
-		{"spider-queueing", SchemeSpider, 0.1, 0.25, 7.40},
+		{"splicer", SchemeSplicer, 1, 0.5, 5.23},
+		{"spider-queueing", SchemeSpider, 0.1, 0.25, 5.27},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			const duration = 20.0

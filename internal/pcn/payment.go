@@ -1,8 +1,9 @@
 package pcn
 
 import (
+	"cmp"
 	"errors"
-	"sort"
+	"slices"
 
 	"github.com/splicer-pcn/splicer/internal/channel"
 	"github.com/splicer-pcn/splicer/internal/graph"
@@ -507,14 +508,21 @@ func (run *txRun) removeLive(tu *tuRun) {
 // locked TUs unwind too).
 func (n *Network) cancelTx(run *txRun) {
 	run.pending = nil
-	// Copy and order by TU id: abortTU mutates run.live, and the registry's
-	// swap-remove order must not leak into simulation behavior (the former
-	// map iteration was sorted the same way).
-	live := append([]*tuRun(nil), run.live...)
-	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
-	for _, tu := range live {
-		n.abortTU(tu, "sibling_failed")
+	// Snapshot and order by TU id: abortTU mutates run.live, and the
+	// registry's swap-remove order must not leak into simulation behavior
+	// (the former map iteration was sorted the same way). The snapshot is a
+	// frame on the network's cancelBuf stack: an abort can drain a queue
+	// into another payment's failure and so re-enter cancelTx, which pushes
+	// its frame above this one and pops it before returning.
+	base := len(n.cancelBuf)
+	n.cancelBuf = append(n.cancelBuf, run.live...)
+	top := len(n.cancelBuf)
+	slices.SortFunc(n.cancelBuf[base:top], func(a, b *tuRun) int { return cmp.Compare(a.id, b.id) })
+	for i := base; i < top; i++ {
+		n.abortTU(n.cancelBuf[i], "sibling_failed")
 	}
+	clear(n.cancelBuf[base:top])
+	n.cancelBuf = n.cancelBuf[:base]
 }
 
 // onDeadline fires at the payment's timeout.

@@ -315,6 +315,11 @@ type Network struct {
 	// after its lock, at one priority, so they need a FIFO, not the heap.
 	hops *sim.Lane
 
+	// cancelBuf is cancelTx's reusable stack of TUs to abort, and staleBuf
+	// the τ tick's reusable MarkStale output.
+	cancelBuf []*tuRun
+	staleBuf  []*channel.QueuedTU
+
 	// Interned metric handles and the incremental τ-tick registries (see
 	// tick.go): the sorted pair registry, the swap-remove active-payment
 	// registry with its reusable per-tick snapshot, the tick generation for

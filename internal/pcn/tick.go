@@ -220,8 +220,8 @@ func (n *Network) runChannelMaintenance(now float64) {
 			ch.UpdatePrices(0, 0)
 		}
 		for _, dir := range []channel.Direction{channel.Fwd, channel.Rev} {
-			marked := ch.MarkStale(dir, now, n.cfg.QueueDelayThreshold)
-			for _, q := range marked {
+			n.staleBuf = ch.MarkStale(dir, now, n.cfg.QueueDelayThreshold, n.staleBuf[:0])
+			for _, q := range n.staleBuf {
 				n.metrics.AddHandle(n.mh.tuMarked, 1)
 				// The sender cancels marked packets (eq. 27 path). A TU
 				// that left this queue and joined it again since
