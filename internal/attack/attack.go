@@ -137,8 +137,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// End returns the last instant the attack can schedule an event at (the
-// horizon a static run must cover for a clean unwind).
+// End returns the last instant the attack can schedule an event at; a run
+// executes to a horizon past it, so the attack unwinds cleanly.
 func (c Config) End() float64 {
 	switch c.Kind {
 	case KindJamming:

@@ -1,6 +1,7 @@
 // The routing-choice study (Table II): Splicer's TSR for each path type,
 // path count and queue scheduling algorithm, at small and large scales.
-// Rows keep the choice order; each reads its two groups by position.
+// Rows keep the choice order; each reads its groups (small, then large)
+// by position.
 package scenario
 
 import (
