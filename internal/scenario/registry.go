@@ -515,16 +515,17 @@ func buildRegistry() map[string]*Entry {
 	return reg
 }
 
-var registry = buildRegistry()
-
-// Lookup returns the named entry.
+// Lookup returns the named entry. Every call builds the entries afresh, so
+// the entry and its Base's nested blocks belong to the caller: editing them
+// changes no other lookup.
 func Lookup(name string) (*Entry, bool) {
-	e, ok := registry[name]
+	e, ok := buildRegistry()[name]
 	return e, ok
 }
 
 // Names lists the registered entry names, sorted.
 func Names() []string {
+	registry := buildRegistry()
 	names := make([]string, 0, len(registry))
 	for n := range registry {
 		names = append(names, n)

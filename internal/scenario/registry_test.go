@@ -151,3 +151,66 @@ func TestEntryRunErrorsSurface(t *testing.T) {
 		t.Fatal("entry with empty workload ran without error")
 	}
 }
+
+// TestLookupEntriesArePrivate pins that Lookup hands each caller an entry
+// nothing else can reach: editing it — its slices, and the nested blocks of
+// a trimmed copy of its Base — leaves every later Lookup as it was.
+func TestLookupEntriesArePrivate(t *testing.T) {
+	state := func(e *Entry) string {
+		var b strings.Builder
+		for _, s := range []*Spec{&e.Base, e.BaseLarge} {
+			if s == nil {
+				continue
+			}
+			js, err := s.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Write(js)
+		}
+		fmt.Fprintf(&b, "%v %v %v", e.Axis, e.Schemes, e.Omegas)
+		if e.Choices != nil {
+			fmt.Fprintf(&b, " %+v", *e.Choices)
+		}
+		return b.String()
+	}
+	for _, name := range Names() {
+		e, _ := Lookup(name)
+		want := state(e)
+		for _, s := range []*Spec{&e.Base, e.BaseLarge} {
+			if s == nil {
+				continue
+			}
+			c := *s
+			if c.Attack != nil {
+				c.Attack.Start++
+			}
+			if c.Dynamics != nil {
+				c.Dynamics.ChurnRate++
+			}
+			if c.Routing.Retry != nil {
+				c.Routing.Retry.MaxAttempts++
+			}
+			if c.Workload.OnOff != nil {
+				c.Workload.OnOff.MeanOn++
+			}
+			s.Seed++
+		}
+		for i := range e.Axis.Values {
+			e.Axis.Values[i]++
+		}
+		for i := range e.Schemes {
+			e.Schemes[i] += "x"
+		}
+		for i := range e.Omegas {
+			e.Omegas[i]++
+		}
+		if e.Choices != nil {
+			e.Choices.SkipLarge = !e.Choices.SkipLarge
+		}
+		again, _ := Lookup(name)
+		if got := state(again); got != want {
+			t.Errorf("%s: editing one looked-up entry changed the next Lookup:\nbefore: %s\nafter:  %s", name, want, got)
+		}
+	}
+}
