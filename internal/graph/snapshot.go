@@ -56,9 +56,6 @@ type Snapshot struct {
 // Epoch returns the publication sequence number (1 for the first publish).
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
-// Seq returns the live graph's shape-mutation sequence this epoch reflects.
-func (s *Snapshot) Seq() uint64 { return s.seq }
-
 // Graph returns the frozen topology. It must be treated as read-only: the
 // store rewrites the underlying buffer only after the snapshot is retired
 // and fully unpinned.

@@ -177,65 +177,3 @@ func (h *Hops) Fail(i int) error { return fail(&h.states[i]) }
 
 // Reset drops every hop, keeping the buffer and the lock.
 func (h *Hops) Reset() { h.states = h.states[:0] }
-
-// Chain is an ordered set of per-hop contracts for one multi-hop payment.
-// Expiries must decrease along the path (each upstream hop needs time to
-// claim after learning the preimage downstream).
-type Chain struct {
-	Hops []Contract
-}
-
-// NewChain creates per-hop contracts for a payment of `amount` over
-// `hops` hops, starting from finalExpiry at the recipient and adding delta
-// per upstream hop.
-func NewChain(hash [32]byte, amount float64, hops int, finalExpiry, delta float64) (*Chain, error) {
-	if hops < 1 {
-		return nil, fmt.Errorf("htlc: chain needs >= 1 hop, got %d", hops)
-	}
-	if delta <= 0 {
-		return nil, fmt.Errorf("htlc: delta must be positive, got %v", delta)
-	}
-	ch := &Chain{Hops: make([]Contract, hops)}
-	for i := 0; i < hops; i++ {
-		// Hop 0 is the sender's outgoing lock, the last hop pays the
-		// recipient; later hops expire sooner.
-		expiry := finalExpiry + float64(hops-1-i)*delta
-		c, err := NewContract(hash, amount, expiry)
-		if err != nil {
-			return nil, err
-		}
-		ch.Hops[i] = c
-	}
-	return ch, nil
-}
-
-// SettleAll unwinds the chain from the recipient backwards with the
-// preimage, as the real protocol does. All hops must settle for the
-// payment to be atomic; the first failure aborts and fails the remaining
-// (upstream) pending hops.
-func (ch *Chain) SettleAll(preimage [32]byte, now float64) error {
-	for i := len(ch.Hops) - 1; i >= 0; i-- {
-		if err := ch.Hops[i].Settle(preimage, now); err != nil {
-			for j := i; j >= 0; j-- {
-				if ch.Hops[j].State() == Pending {
-					// Cooperative unwind of the not-yet-settled hops.
-					if ferr := ch.Hops[j].Fail(); ferr != nil {
-						return fmt.Errorf("htlc: unwind: %w", ferr)
-					}
-				}
-			}
-			return fmt.Errorf("htlc: hop %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// Settled reports whether every hop settled.
-func (ch *Chain) Settled() bool {
-	for _, c := range ch.Hops {
-		if c.State() != Settled {
-			return false
-		}
-	}
-	return true
-}

@@ -3,7 +3,6 @@ package htlc
 import (
 	"crypto/sha256"
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -104,73 +103,6 @@ func TestExpireIfDue(t *testing.T) {
 	}
 	if c.State() != Expired {
 		t.Fatalf("state = %v", c.State())
-	}
-}
-
-func TestChainExpiryOrdering(t *testing.T) {
-	pre := NewPreimage(9)
-	ch, err := NewChain(LockHash(pre), 3, 4, 10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Expiries decrease along the path: hop 0 (sender side) latest.
-	for i := 1; i < len(ch.Hops); i++ {
-		if ch.Hops[i].Expiry >= ch.Hops[i-1].Expiry {
-			t.Fatalf("expiries not decreasing: hop %d %v >= hop %d %v",
-				i, ch.Hops[i].Expiry, i-1, ch.Hops[i-1].Expiry)
-		}
-	}
-	if ch.Hops[3].Expiry != 10 {
-		t.Fatalf("recipient hop expiry = %v, want 10", ch.Hops[3].Expiry)
-	}
-}
-
-func TestChainSettleAll(t *testing.T) {
-	pre := NewPreimage(10)
-	ch, err := NewChain(LockHash(pre), 2, 3, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ch.SettleAll(pre, 5); err != nil {
-		t.Fatal(err)
-	}
-	if !ch.Settled() {
-		t.Fatal("chain not fully settled")
-	}
-}
-
-func TestChainSettleAllLateUnwinds(t *testing.T) {
-	pre := NewPreimage(11)
-	ch, err := NewChain(LockHash(pre), 2, 3, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Recipient hop expires at 10; settle attempt at 10.5 fails and
-	// unwinds.
-	err = ch.SettleAll(pre, 10.5)
-	if err == nil {
-		t.Fatal("late settle succeeded")
-	}
-	if !strings.Contains(err.Error(), "expired") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	if ch.Settled() {
-		t.Fatal("chain reports settled after failure")
-	}
-	// Upstream hops must not remain pending.
-	for i, c := range ch.Hops {
-		if c.State() == Pending {
-			t.Fatalf("hop %d left pending", i)
-		}
-	}
-}
-
-func TestChainValidation(t *testing.T) {
-	if _, err := NewChain(LockHash(NewPreimage(1)), 1, 0, 10, 1); err == nil {
-		t.Fatal("expected error for 0 hops")
-	}
-	if _, err := NewChain(LockHash(NewPreimage(1)), 1, 2, 10, 0); err == nil {
-		t.Fatal("expected error for zero delta")
 	}
 }
 

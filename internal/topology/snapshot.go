@@ -9,7 +9,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 
 	"github.com/splicer-pcn/splicer/internal/graph"
@@ -109,14 +108,4 @@ func ReadSnapshot(r io.Reader) (*graph.Graph, error) {
 		}
 	}
 	return g, nil
-}
-
-// LoadSnapshot reads a snapshot CSV from disk.
-func LoadSnapshot(path string) (*graph.Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("topology: snapshot: %w", err)
-	}
-	defer f.Close()
-	return ReadSnapshot(f)
 }

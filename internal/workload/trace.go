@@ -8,7 +8,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 
 	"github.com/splicer-pcn/splicer/internal/graph"
@@ -96,16 +95,6 @@ func ReadTrace(r io.Reader) ([]Tx, error) {
 		txs = append(txs, tx)
 	}
 	return txs, nil
-}
-
-// LoadTrace reads a trace CSV from disk.
-func LoadTrace(path string) ([]Tx, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("workload: trace: %w", err)
-	}
-	defer f.Close()
-	return ReadTrace(f)
 }
 
 // MaxNode returns the highest endpoint id referenced by the trace (-1 for an
