@@ -43,7 +43,8 @@ const (
 	maxPlanUnits = 4096
 )
 
-// parseRouteRequest reads src/dst/k/type query parameters.
+// parseRouteRequest reads src/dst/k/type query parameters; src and dst must
+// be distinct node ids.
 func parseRouteRequest(r *http.Request) (RouteRequest, error) {
 	q := r.URL.Query()
 	src, err := strconv.Atoi(q.Get("src"))
@@ -53,6 +54,10 @@ func parseRouteRequest(r *http.Request) (RouteRequest, error) {
 	dst, err := strconv.Atoi(q.Get("dst"))
 	if err != nil {
 		return RouteRequest{}, errors.New("serve: dst must be a node id")
+	}
+	if src == dst {
+		// A 0-hop path's bottleneck is +Inf, which JSON cannot carry.
+		return RouteRequest{}, errors.New("serve: src and dst must differ")
 	}
 	req := RouteRequest{Src: graph.NodeID(src), Dst: graph.NodeID(dst), K: 1, Type: routing.KSP}
 	if ks := q.Get("k"); ks != "" {
