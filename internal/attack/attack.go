@@ -209,9 +209,6 @@ func NewInjector(net *pcn.Network, src *rng.Source, cfg Config) (*Injector, erro
 // own churn.
 func (in *Injector) AttachDriver(d *dynamics.Driver) { in.drv = d }
 
-// Stats returns what the injector scheduled/applied so far.
-func (in *Injector) Stats() Stats { return in.stats }
-
 // Install schedules the attack's events on the network's engine. Call after
 // the network (and driver, if any) is built and before the event loop runs;
 // events themselves fire inside the loop.

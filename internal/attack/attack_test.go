@@ -86,7 +86,7 @@ func TestJammingHoldsAndConserves(t *testing.T) {
 	trace := testTrace(t, 5, n, 40, 3)
 	cfg := Config{Kind: KindJamming, Start: 0.5, Duration: 2, Rate: 30, HoldTime: 1.5}
 	res, inj := runWithAttack(t, n, trace, rng.New(99), cfg)
-	st := inj.Stats()
+	st := inj.stats
 	if st.AdversarialScheduled == 0 {
 		t.Fatal("no adversarial payments scheduled at rate 30 over 2 s")
 	}
@@ -116,7 +116,7 @@ func TestInjectorDeterminism(t *testing.T) {
 		if err := n.CheckConservation(); err != nil {
 			t.Fatal(err)
 		}
-		return res, inj.Stats()
+		return res, inj.stats
 	}
 	resA, stA := run(99)
 	resB, stB := run(99)
@@ -141,7 +141,7 @@ func TestFlashCrowdAddsHonestDemand(t *testing.T) {
 		BaseRate: 40, ValueScale: 1, Timeout: 3,
 	}
 	res, inj := runWithAttack(t, n, trace, rng.New(7), cfg)
-	st := inj.Stats()
+	st := inj.stats
 	if st.FlashScheduled == 0 {
 		t.Fatal("flash crowd scheduled no spike payments at 20x")
 	}
@@ -170,7 +170,7 @@ func TestHubOutageStrikesAndRecovers(t *testing.T) {
 	trace := testTrace(t, 8, n, 40, 4)
 	cfg := Config{Kind: KindHubOutage, Start: 1, TopK: 2, RecoverAfter: 1.5}
 	_, inj := runWithAttack(t, n, trace, rng.New(3), cfg)
-	st := inj.Stats()
+	st := inj.stats
 	if st.HubsStruck != 2 {
 		t.Fatalf("HubsStruck = %d, want 2", st.HubsStruck)
 	}
@@ -199,7 +199,7 @@ func TestHubOutageNoRecovery(t *testing.T) {
 	trace := testTrace(t, 8, n, 40, 3)
 	cfg := Config{Kind: KindHubOutage, Start: 1, TopK: 2}
 	_, inj := runWithAttack(t, n, trace, rng.New(3), cfg)
-	if st := inj.Stats(); st.HubsStruck != 2 || st.HubsRecovered != 0 {
+	if st := inj.stats; st.HubsStruck != 2 || st.HubsRecovered != 0 {
 		t.Fatalf("stats = %+v, want 2 struck / 0 recovered", st)
 	}
 	if !n.Departed(hubs[0]) {

@@ -176,9 +176,6 @@ func (c *Channel) DirFrom(from graph.NodeID) Direction {
 // Balance returns the spendable funds in direction d.
 func (c *Channel) Balance(d Direction) float64 { return c.dirs[d].balance }
 
-// Locked returns the in-flight funds in direction d.
-func (c *Channel) Locked(d Direction) float64 { return c.dirs[d].locked }
-
 // Capacity returns the channel's total funds (both balances plus locked).
 func (c *Channel) Capacity() float64 {
 	return c.dirs[0].balance + c.dirs[1].balance + c.dirs[0].locked + c.dirs[1].locked
@@ -316,9 +313,6 @@ func (c *Channel) Refund(d Direction, v float64) error {
 	return nil
 }
 
-// InFlight returns the number of locked HTLCs in direction d.
-func (c *Channel) InFlight(d Direction) int { return c.inflight[d] }
-
 // AddRequired records funds required to maintain flow rates through the
 // endpoint on direction d (n_a in eq. 21); accumulated per window.
 func (c *Channel) AddRequired(d Direction, v float64) {
@@ -379,12 +373,6 @@ func (c *Channel) NeedsMaintenance() bool {
 	}
 	return false
 }
-
-// Lambda returns the current capacity price.
-func (c *Channel) Lambda() float64 { return c.lambda }
-
-// Mu returns the imbalance price for direction d.
-func (c *Channel) Mu(d Direction) float64 { return c.dirs[d].mu }
 
 // Price returns the routing price ξ for direction d (eq. 23):
 // ξ_{a,b} = 2λ + μ_{a,b} − μ_{b,a}, floored at zero so a heavily

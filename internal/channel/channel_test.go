@@ -41,13 +41,13 @@ func TestLockSettleMovesFunds(t *testing.T) {
 	if err := c.Lock(Fwd, 4); err != nil {
 		t.Fatal(err)
 	}
-	if c.Balance(Fwd) != 6 || c.Locked(Fwd) != 4 {
-		t.Fatalf("after lock: bal=%v locked=%v", c.Balance(Fwd), c.Locked(Fwd))
+	if c.Balance(Fwd) != 6 || c.dirs[Fwd].locked != 4 {
+		t.Fatalf("after lock: bal=%v locked=%v", c.Balance(Fwd), c.dirs[Fwd].locked)
 	}
 	if err := c.Settle(Fwd, 4); err != nil {
 		t.Fatal(err)
 	}
-	if c.Balance(Fwd) != 6 || c.Balance(Rev) != 9 || c.Locked(Fwd) != 0 {
+	if c.Balance(Fwd) != 6 || c.Balance(Rev) != 9 || c.dirs[Fwd].locked != 0 {
 		t.Fatalf("after settle: fwd=%v rev=%v", c.Balance(Fwd), c.Balance(Rev))
 	}
 	// Total funds conserved.
@@ -64,7 +64,7 @@ func TestLockRefundRestores(t *testing.T) {
 	if err := c.Refund(Fwd, 4); err != nil {
 		t.Fatal(err)
 	}
-	if c.Balance(Fwd) != 10 || c.Locked(Fwd) != 0 || c.Balance(Rev) != 5 {
+	if c.Balance(Fwd) != 10 || c.dirs[Fwd].locked != 0 || c.Balance(Rev) != 5 {
 		t.Fatal("refund did not restore state")
 	}
 }
@@ -118,7 +118,7 @@ func TestPriceDynamics(t *testing.T) {
 	c.AddRequired(Fwd, 120)
 	c.AddRequired(Rev, 30)
 	c.UpdatePrices(0.01, 0.01)
-	if c.Lambda() <= 0 {
+	if c.lambda <= 0 {
 		t.Fatal("lambda did not rise under excess demand")
 	}
 	// One-sided arrivals raise μ for that direction and keep the other at 0.
@@ -129,11 +129,11 @@ func TestPriceDynamics(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.UpdatePrices(0.01, 0.01)
-	if c.Mu(Fwd) <= 0 {
-		t.Fatalf("mu fwd = %v, want > 0", c.Mu(Fwd))
+	if c.dirs[Fwd].mu <= 0 {
+		t.Fatalf("mu fwd = %v, want > 0", c.dirs[Fwd].mu)
 	}
-	if c.Mu(Rev) != 0 {
-		t.Fatalf("mu rev = %v, want 0", c.Mu(Rev))
+	if c.dirs[Rev].mu != 0 {
+		t.Fatalf("mu rev = %v, want 0", c.dirs[Rev].mu)
 	}
 	// Price in the hot direction must exceed the cold direction (eq. 23).
 	if c.Price(Fwd) <= c.Price(Rev) {
@@ -145,16 +145,16 @@ func TestLambdaDecaysWhenUnderused(t *testing.T) {
 	c := newChan(t, 50, 50)
 	c.AddRequired(Fwd, 500)
 	c.UpdatePrices(0.01, 0)
-	high := c.Lambda()
+	high := c.lambda
 	// No demand now: λ decreases (and never below 0).
 	c.UpdatePrices(0.01, 0)
-	if c.Lambda() >= high {
+	if c.lambda >= high {
 		t.Fatal("lambda did not decay")
 	}
 	for i := 0; i < 100; i++ {
 		c.UpdatePrices(0.01, 0)
 	}
-	if c.Lambda() < 0 {
+	if c.lambda < 0 {
 		t.Fatal("lambda went negative")
 	}
 }
@@ -399,7 +399,7 @@ func TestLockToleratesFloatDrift(t *testing.T) {
 	if b := c.Balance(Fwd); b < 0 {
 		t.Fatalf("tolerance drove balance negative: %v", b)
 	}
-	if l := c.Locked(Fwd); math.Abs(l-v) > 1e-9 {
+	if l := c.dirs[Fwd].locked; math.Abs(l-v) > 1e-9 {
 		t.Fatalf("locked %v, want %v within tolerance", l, v)
 	}
 	// The locked funds settle cleanly, and the tolerance must not mint or
@@ -417,8 +417,8 @@ func TestLockBeyondToleranceRejected(t *testing.T) {
 	if err := c.Lock(Fwd, 10.001); err == nil {
 		t.Fatal("Lock accepted a value 1e-3 over the balance")
 	}
-	if c.Balance(Fwd) != 10 || c.Locked(Fwd) != 0 {
-		t.Fatalf("failed lock mutated state: balance %v locked %v", c.Balance(Fwd), c.Locked(Fwd))
+	if c.Balance(Fwd) != 10 || c.dirs[Fwd].locked != 0 {
+		t.Fatalf("failed lock mutated state: balance %v locked %v", c.Balance(Fwd), c.dirs[Fwd].locked)
 	}
 }
 

@@ -125,7 +125,7 @@ func runOnce(t testing.TB, seed uint64, scheme pcn.Scheme, cfg Config) (pcn.Resu
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, fmt.Sprintf("%+v", d.Log())
+	return res, fmt.Sprintf("%+v", d.applied)
 }
 
 // TestDriverDeterministic: identical seeds give byte-identical results and
@@ -162,7 +162,7 @@ func TestDriverAppliesChurn(t *testing.T) {
 	}
 	applied := map[Kind]int{}
 	skipped := 0
-	for _, a := range d.Log() {
+	for _, a := range d.applied {
 		if a.Skipped != "" {
 			skipped++
 			continue
@@ -235,7 +235,7 @@ func BenchmarkDynamicsEvents(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		for _, ev := range d.Timeline() {
+		for _, ev := range d.timeline {
 			d.apply(ev)
 		}
 	}

@@ -34,7 +34,7 @@ func TestConservationUnderChurn(t *testing.T) {
 				t.Fatal(err)
 			}
 			applied := 0
-			for _, a := range d.Log() {
+			for _, a := range d.applied {
 				if a.Skipped == "" {
 					applied++
 				}
@@ -42,7 +42,7 @@ func TestConservationUnderChurn(t *testing.T) {
 			if applied == 0 {
 				t.Fatal("churn run applied no structural events; invariant not exercised")
 			}
-			if err := d.Network().CheckConservation(); err != nil {
+			if err := d.net.CheckConservation(); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -47,7 +47,7 @@ func TestPathFinderResultsDoNotAliasScratch(t *testing.T) {
 			return []Path{p}
 		},
 		func(src, dst NodeID) []Path {
-			p, ok := pf.WidestPath(src, dst)
+			p, ok := pf.widestPath(src, dst, false)
 			if !ok {
 				return nil
 			}
@@ -93,15 +93,16 @@ func TestLabelResultsDoNotAliasScratch(t *testing.T) {
 	pf := NewPathFinder(g)
 	rng := rand.New(rand.NewSource(9))
 
-	first, ok := v.UnitShortestPath(pf, 5, 40)
-	if !ok {
+	firsts := v.KShortestPathsUnit(pf, 5, 40, 1)
+	if len(firsts) == 0 {
 		t.Fatal("hub 5 cannot reach node 40")
 	}
+	first := firsts[0]
 	ksp := v.KShortestPathsUnit(pf, 11, 33, 4)
 	savedFirst := deepCopyPaths([]Path{first})[0]
 	savedKSP := deepCopyPaths(ksp)
 
-	v.UnitShortestPath(pf, 11, 7)
+	v.KShortestPathsUnit(pf, 11, 7, 1)
 	v.KShortestPathsUnit(pf, 5, 29, 4)
 	churnStep(rng, g)
 

@@ -36,15 +36,12 @@ type csrState struct {
 	span    []arcSpan
 	pos     [][2]int32
 	garbage int // slab slots abandoned by span migrations
-	stats   CSRStats
+	stats   csrStats
 }
 
-// CSRStats exposes the CSR maintenance counters, so tests (and curious
-// benchmarks) can pin that a given workload stays on the incremental path.
-type CSRStats struct {
-	// Built reports whether the packed adjacency currently exists (it is
-	// built lazily on the first path query).
-	Built bool
+// csrStats counts CSR maintenance, so tests can pin that a given workload
+// stays on the incremental path.
+type csrStats struct {
 	// Rebuilds counts full O(E) layout builds: the initial lazy build plus
 	// any garbage-triggered compactions.
 	Rebuilds uint64
@@ -56,19 +53,6 @@ type CSRStats struct {
 	IncrementalOps uint64
 	// CapacityWrites counts SetCapacity calls applied as two-slot writes.
 	CapacityWrites uint64
-	// Arcs is the live arc count (2 per live edge); SlabLen is the backing
-	// slab length including growth headroom and migration garbage.
-	Arcs    int
-	SlabLen int
-}
-
-// CSRStats returns a snapshot of the CSR maintenance counters.
-func (g *Graph) CSRStats() CSRStats {
-	s := g.csr.stats
-	s.Built = g.csr.ok
-	s.Arcs = 2 * g.numLive
-	s.SlabLen = len(g.csr.slab)
-	return s
 }
 
 func packArc(other NodeID, eid EdgeID) uint64 {

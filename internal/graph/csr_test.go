@@ -138,19 +138,19 @@ func TestCSRMatchesAdjUnderChurn(t *testing.T) {
 func TestTopUpStaysIncremental(t *testing.T) {
 	g := randomTestGraph(t, 42, 200, 400)
 	pf := NewPathFinder(g)
-	if _, ok := pf.WidestPath(0, 100); !ok {
+	if _, ok := pf.widestPath(0, 100, false); !ok {
 		t.Fatal("no widest path in connected graph")
 	}
-	base := g.CSRStats()
+	base := g.csr.stats
 	if base.Rebuilds != 1 {
 		t.Fatalf("expected exactly the lazy initial build, got %d rebuilds", base.Rebuilds)
 	}
 	e := g.Edge(0)
 	g.SetCapacity(0, e.CapFwd+5, e.CapRev+5)
-	if _, ok := pf.WidestPath(0, 100); !ok {
+	if _, ok := pf.widestPath(0, 100, false); !ok {
 		t.Fatal("no widest path after top-up")
 	}
-	after := g.CSRStats()
+	after := g.csr.stats
 	if after.Rebuilds != base.Rebuilds {
 		t.Fatalf("top-up forced a CSR rebuild (%d -> %d)", base.Rebuilds, after.Rebuilds)
 	}
@@ -158,9 +158,9 @@ func TestTopUpStaysIncremental(t *testing.T) {
 		t.Fatalf("expected 1 incremental capacity write, got %d", after.CapacityWrites-base.CapacityWrites)
 	}
 	// The write must actually land: starving a bridge changes widest paths.
-	p, _ := pf.WidestPath(0, 100)
+	p, _ := pf.widestPath(0, 100, false)
 	g.SetCapacity(p.Edges[0], 0, 0)
-	if q, ok := pf.WidestPath(0, 100); ok {
+	if q, ok := pf.widestPath(0, 100, false); ok {
 		for _, eid := range q.Edges {
 			if eid == p.Edges[0] {
 				t.Fatal("widest path used a zero-capacity channel: stale CSR capacity")
@@ -175,7 +175,7 @@ func TestChurnStaysIncremental(t *testing.T) {
 	g := randomTestGraph(t, 43, 200, 400)
 	pf := NewPathFinder(g)
 	pf.UnitShortestPath(0, 100)
-	base := g.CSRStats()
+	base := g.csr.stats
 	id, err := g.AddEdge(0, 100, 10, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestChurnStaysIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	pf.UnitShortestPath(0, v)
-	after := g.CSRStats()
+	after := g.csr.stats
 	if after.Rebuilds != base.Rebuilds {
 		t.Fatalf("churn forced %d CSR rebuilds", after.Rebuilds-base.Rebuilds)
 	}

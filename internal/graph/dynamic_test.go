@@ -45,7 +45,7 @@ func TestRemoveEdge(t *testing.T) {
 		t.Fatalf("tombstone endpoints = %d-%d, want 1-2", e.U, e.V)
 	}
 	// Routing detours around the removed edge via 0-3.
-	p, ok := g.ShortestPath(1, 2, UnitWeight)
+	p, ok := NewPathFinder(g).ShortestPath(1, 2, UnitWeight)
 	if !ok {
 		t.Fatal("no path after removal; expected detour 1-0-3-2")
 	}
@@ -68,7 +68,7 @@ func TestRemoveEdge(t *testing.T) {
 
 func TestPathValidRejectsRemovedEdge(t *testing.T) {
 	g := lineGraph(t, 3)
-	p, ok := g.ShortestPath(0, 2, UnitWeight)
+	p, ok := NewPathFinder(g).ShortestPath(0, 2, UnitWeight)
 	if !ok || !p.Valid(g) {
 		t.Fatal("setup: expected valid path 0-1-2")
 	}
@@ -85,14 +85,8 @@ func TestEdgesSkipsRemoved(t *testing.T) {
 	if err := g.RemoveEdge(0); err != nil {
 		t.Fatal(err)
 	}
-	edges := g.Edges()
-	if len(edges) != 2 {
-		t.Fatalf("Edges() returned %d, want 2 live", len(edges))
-	}
-	for _, e := range edges {
-		if e.ID == 0 {
-			t.Fatal("Edges() includes removed edge")
-		}
+	if g.NumLiveEdges() != 2 || !g.EdgeRemoved(0) || g.EdgeRemoved(1) {
+		t.Fatalf("%d live edges after removing edge 0, want 2", g.NumLiveEdges())
 	}
 	c := g.Clone()
 	if c.NumLiveEdges() != 2 || !c.EdgeRemoved(0) {
@@ -124,7 +118,7 @@ func TestPathFinderGrowsWithGraph(t *testing.T) {
 	if p.Len() != 52 {
 		t.Fatalf("path length = %d, want 52", p.Len())
 	}
-	if w, ok := pf.WidestPath(0, last); !ok || w.Bottleneck(g) != 7 {
+	if w, ok := pf.widestPath(0, last, false); !ok || w.Bottleneck(g) != 7 {
 		t.Fatalf("widest path to joined node: ok=%v bottleneck=%v", ok, w.Bottleneck(g))
 	}
 	if ks := pf.KShortestPaths(0, last, 2, UnitWeight); len(ks) != 1 {
@@ -150,7 +144,7 @@ func TestPathFinderGrowthPreservesQueryState(t *testing.T) {
 		t.Fatalf("post-growth query: ok=%v len=%d, want 4", ok, p.Len())
 	}
 	// Weight function that consults capacity still sees the new edge.
-	if _, ok := pf.ShortestPath(0, v, CapacityFilteredUnitWeight(0.5)); !ok {
+	if _, ok := pf.ShortestPath(0, v, minCapUnitWeight(0.5)); !ok {
 		t.Fatal("capacity-filtered query lost the new arc")
 	}
 	if _, ok := pf.ShortestPath(v, 0, func(e Edge, from NodeID) float64 {

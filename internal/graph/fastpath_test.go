@@ -147,7 +147,7 @@ func TestEdgeDisjointWidestPathsFinderMatchesClone(t *testing.T) {
 			ref := NewPathFinder(masked)
 			var want []Path
 			for len(want) < 4 {
-				p, ok := ref.WidestPath(src, dst)
+				p, ok := ref.widestPath(src, dst, false)
 				if !ok {
 					break
 				}
@@ -195,11 +195,11 @@ func TestCSRInvalidation(t *testing.T) {
 	}
 	// Widest must see capacity rewrites (the capacity column has its own
 	// invalidation stamp).
-	if p, ok := pf.WidestPath(0, 2); !ok || p.Len() != 2 {
+	if p, ok := pf.widestPath(0, 2, false); !ok || p.Len() != 2 {
 		t.Fatalf("widest = %v ok=%v", p, ok)
 	}
 	g.SetCapacity(e01, 0, 0) // starve the 0-1 hop
-	if _, ok := pf.WidestPath(0, 2); ok {
+	if _, ok := pf.widestPath(0, 2, false); ok {
 		t.Fatal("widest found a path through a zero-capacity channel")
 	}
 	// A node arrival grows the mirror.

@@ -146,7 +146,7 @@ func FuzzPathFinder(f *testing.F) {
 		// Weighted shortest path: finder vs baseline, cost-equivalent.
 		w := func(e Edge, from NodeID) float64 { return 1 + 1/e.Capacity(from) }
 		fp, fok := pf.ShortestPath(src, dst, w)
-		bp, bok := g.ShortestPath(src, dst, w)
+		bp, bok := NewPathFinder(g).ShortestPath(src, dst, w)
 		if fok != bok {
 			t.Fatalf("finder reachability %v != baseline %v", fok, bok)
 		}
@@ -160,7 +160,7 @@ func FuzzPathFinder(f *testing.F) {
 
 		// Capacity-filtered search respects the threshold on every hop.
 		minCap := float64(minCapRaw%100) + 1
-		cw := CapacityFilteredUnitWeight(minCap)
+		cw := minCapUnitWeight(minCap)
 		if cp, cok := pf.ShortestPath(src, dst, cw); cok {
 			checkSimplePath(t, g, cp, src, dst, "CapacityFiltered")
 			for i, eid := range cp.Edges {
@@ -172,8 +172,8 @@ func FuzzPathFinder(f *testing.F) {
 
 		// Widest path: finder vs baseline bottleneck equality, and the
 		// bottleneck must not beat the best single-arc bound.
-		wp, wok := pf.WidestPath(src, dst)
-		bwp, bwok := g.WidestPath(src, dst)
+		wp, wok := pf.widestPath(src, dst, false)
+		bwp, bwok := NewPathFinder(g).widestPath(src, dst, false)
 		if wok != bwok {
 			t.Fatalf("widest reachability %v != baseline %v", wok, bwok)
 		}

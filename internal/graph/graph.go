@@ -228,27 +228,6 @@ func (g *Graph) HasEdgeBetween(u, v NodeID) bool {
 	return false
 }
 
-// EdgeBetween returns the first edge between u and v, if any.
-func (g *Graph) EdgeBetween(u, v NodeID) (Edge, bool) {
-	for _, id := range g.adj[u] {
-		if g.edges[id].Other(u) == v {
-			return g.edges[id], true
-		}
-	}
-	return Edge{}, false
-}
-
-// Edges returns a copy of all live (non-removed) edges.
-func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, g.numLive)
-	for i, e := range g.edges {
-		if !g.removed[i] {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Clone returns a deep copy of the graph, including removed-edge tombstones
 // (edge IDs stay aligned between a graph and its clone).
 func (g *Graph) Clone() *Graph {
@@ -334,17 +313,6 @@ type WeightFunc func(e Edge, from NodeID) float64
 // UnitWeight weights every arc 1 (hop count).
 func UnitWeight(Edge, NodeID) float64 { return 1 }
 
-// CapacityFilteredUnitWeight weights arcs 1 but excludes arcs whose
-// directional capacity is below minCap.
-func CapacityFilteredUnitWeight(minCap float64) WeightFunc {
-	return func(e Edge, from NodeID) float64 {
-		if e.Capacity(from) < minCap {
-			return math.Inf(1)
-		}
-		return 1
-	}
-}
-
 // BFSHops returns the hop distance from src to every node (-1 when
 // unreachable), ignoring capacities. Repeated searches should share their
 // buffers through BFSHopsInto.
@@ -422,16 +390,6 @@ func (g *Graph) sweep(src NodeID, mark []int, step int, queue []NodeID) []NodeID
 	return queue
 }
 
-// AllPairsHops computes the hop-distance matrix via one BFS per node.
-// The result is symmetric; unreachable pairs have -1.
-func (g *Graph) AllPairsHops() [][]int {
-	out := make([][]int, g.NumNodes())
-	for i := range out {
-		out[i] = g.BFSHops(NodeID(i))
-	}
-	return out
-}
-
 // Connected reports whether the graph is connected (vacuously true for 0 or
 // 1 nodes).
 func (g *Graph) Connected() bool {
@@ -445,22 +403,6 @@ func (g *Graph) Connected() bool {
 		}
 	}
 	return true
-}
-
-// ShortestPath runs Dijkstra from src to dst under w and returns the
-// minimum-cost path. ok is false when dst is unreachable. Repeated queries
-// should share a PathFinder instead, which keeps the Dijkstra scratch
-// buffers across calls.
-func (g *Graph) ShortestPath(src, dst NodeID, w WeightFunc) (Path, bool) {
-	return NewPathFinder(g).ShortestPath(src, dst, w)
-}
-
-// WidestPath returns the path from src to dst maximizing the bottleneck
-// directional capacity (a maximin Dijkstra). Ties are broken by hop count.
-// ok is false when dst is unreachable through positive-capacity arcs.
-// Repeated queries should share a PathFinder.
-func (g *Graph) WidestPath(src, dst NodeID) (Path, bool) {
-	return NewPathFinder(g).WidestPath(src, dst)
 }
 
 // reconstruct returns the src→dst path of a prev tree as a new Path whose
@@ -505,35 +447,4 @@ func fillChain(nodes []NodeID, edges []EdgeID, dst NodeID, prevNode []NodeID, pr
 		at = prevNode[at]
 	}
 	nodes[0] = at
-}
-
-// KShortestPaths implements Yen's algorithm, returning up to k loopless
-// minimum-cost paths from src to dst under w, in nondecreasing cost order.
-// Repeated queries should share a PathFinder.
-func (g *Graph) KShortestPaths(src, dst NodeID, k int, w WeightFunc) []Path {
-	return NewPathFinder(g).KShortestPaths(src, dst, k, w)
-}
-
-// EdgeDisjointShortestPaths greedily extracts up to k pairwise edge-disjoint
-// shortest (fewest-hop) paths: find a shortest path, remove its edges,
-// repeat. This matches the EDS path type in the paper's Table II.
-// Repeated queries should share a PathFinder.
-func (g *Graph) EdgeDisjointShortestPaths(src, dst NodeID, k int) []Path {
-	return NewPathFinder(g).EdgeDisjointShortestPaths(src, dst, k)
-}
-
-// EdgeDisjointWidestPaths greedily extracts up to k pairwise edge-disjoint
-// widest paths (the EDW path type): find the widest path, mask its edges,
-// repeat. Repeated queries should share a PathFinder and call its
-// EdgeDisjointWidestPaths method directly.
-func (g *Graph) EdgeDisjointWidestPaths(src, dst NodeID, k int) []Path {
-	return NewPathFinder(g).EdgeDisjointWidestPaths(src, dst, k)
-}
-
-// HighestFundPaths implements the paper's "Heuristic" path type: pick up to
-// k loopless paths with the highest bottleneck funds, by running Yen's
-// algorithm under an inverse-capacity weight and reranking by bottleneck.
-// Repeated queries should share a PathFinder.
-func (g *Graph) HighestFundPaths(src, dst NodeID, k int) []Path {
-	return NewPathFinder(g).HighestFundPaths(src, dst, k)
 }

@@ -34,7 +34,7 @@ func BenchmarkShortestPath1000(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := g.ShortestPath(0, 500, UnitWeight); !ok {
+		if _, ok := NewPathFinder(g).ShortestPath(0, 500, UnitWeight); !ok {
 			b.Fatal("unreachable")
 		}
 	}
@@ -45,7 +45,7 @@ func BenchmarkWidestPath1000(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := g.WidestPath(0, 500); !ok {
+		if _, ok := NewPathFinder(g).widestPath(0, 500, false); !ok {
 			b.Fatal("unreachable")
 		}
 	}
@@ -56,7 +56,7 @@ func BenchmarkKShortestPaths5(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if paths := g.KShortestPaths(0, 150, 5, UnitWeight); len(paths) == 0 {
+		if paths := NewPathFinder(g).KShortestPaths(0, 150, 5, UnitWeight); len(paths) == 0 {
 			b.Fatal("no paths")
 		}
 	}
@@ -67,7 +67,7 @@ func BenchmarkEdgeDisjointWidest5(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if paths := g.EdgeDisjointWidestPaths(0, 500, 5); len(paths) == 0 {
+		if paths := NewPathFinder(g).EdgeDisjointWidestPaths(0, 500, 5); len(paths) == 0 {
 			b.Fatal("no paths")
 		}
 	}
@@ -91,7 +91,7 @@ func BenchmarkPathFinderWidest1000(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := pf.WidestPath(0, 500); !ok {
+		if _, ok := pf.widestPath(0, 500, false); !ok {
 			b.Fatal("unreachable")
 		}
 	}
@@ -114,7 +114,7 @@ func BenchmarkMaxFlow1000(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if total, _ := g.MaxFlow(0, 500, math.Inf(1)); total <= 0 {
+		if total, _ := g.MaxFlowWith(new(MaxFlowScratch), 0, 500, math.Inf(1)); total <= 0 {
 			b.Fatal("zero flow")
 		}
 	}

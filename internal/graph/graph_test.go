@@ -99,7 +99,10 @@ func TestConnectedTrivial(t *testing.T) {
 
 func TestAllPairsHopsSymmetric(t *testing.T) {
 	g := line(6, 1)
-	m := g.AllPairsHops()
+	m := make([][]int, g.NumNodes())
+	for i := range m {
+		m[i] = g.BFSHops(NodeID(i))
+	}
 	for i := range m {
 		for j := range m[i] {
 			if m[i][j] != m[j][i] {
@@ -120,7 +123,7 @@ func TestShortestPathPrefersFewerHops(t *testing.T) {
 	mustEdge(t, g, 0, 2, 1, 1)
 	mustEdge(t, g, 2, 4, 1, 1)
 	mustEdge(t, g, 4, 3, 1, 1)
-	p, ok := g.ShortestPath(0, 3, UnitWeight)
+	p, ok := NewPathFinder(g).ShortestPath(0, 3, UnitWeight)
 	if !ok || p.Len() != 2 {
 		t.Fatalf("path = %+v ok=%v, want 2 hops", p, ok)
 	}
@@ -133,7 +136,7 @@ func TestShortestPathUnreachable(t *testing.T) {
 	g := New(4)
 	mustEdge(t, g, 0, 1, 1, 1)
 	mustEdge(t, g, 2, 3, 1, 1)
-	if _, ok := g.ShortestPath(0, 3, UnitWeight); ok {
+	if _, ok := NewPathFinder(g).ShortestPath(0, 3, UnitWeight); ok {
 		t.Fatal("found path across disconnected components")
 	}
 }
@@ -150,7 +153,7 @@ func TestShortestPathRespectsWeights(t *testing.T) {
 		}
 		return 1
 	}
-	p, ok := g.ShortestPath(0, 1, w)
+	p, ok := NewPathFinder(g).ShortestPath(0, 1, w)
 	if !ok || p.Len() != 2 {
 		t.Fatalf("expected the 2-hop detour, got %+v", p)
 	}
@@ -158,9 +161,20 @@ func TestShortestPathRespectsWeights(t *testing.T) {
 
 func TestShortestPathToSelf(t *testing.T) {
 	g := line(3, 1)
-	p, ok := g.ShortestPath(1, 1, UnitWeight)
+	p, ok := NewPathFinder(g).ShortestPath(1, 1, UnitWeight)
 	if !ok || p.Len() != 0 || len(p.Nodes) != 1 {
 		t.Fatalf("self path = %+v ok=%v", p, ok)
+	}
+}
+
+// minCapUnitWeight weights arcs 1 but excludes arcs whose directional
+// capacity is below minCap.
+func minCapUnitWeight(minCap float64) WeightFunc {
+	return func(e Edge, from NodeID) float64 {
+		if e.Capacity(from) < minCap {
+			return math.Inf(1)
+		}
+		return 1
 	}
 }
 
@@ -169,7 +183,7 @@ func TestCapacityFilteredUnitWeight(t *testing.T) {
 	mustEdge(t, g, 0, 1, 0.5, 0.5)
 	mustEdge(t, g, 0, 2, 5, 5)
 	mustEdge(t, g, 2, 1, 5, 5)
-	p, ok := g.ShortestPath(0, 1, CapacityFilteredUnitWeight(1))
+	p, ok := NewPathFinder(g).ShortestPath(0, 1, minCapUnitWeight(1))
 	if !ok || p.Len() != 2 {
 		t.Fatalf("expected filtered detour, got %+v ok=%v", p, ok)
 	}
@@ -181,7 +195,7 @@ func TestWidestPathPicksHighCapacity(t *testing.T) {
 	mustEdge(t, g, 0, 1, 2, 2)
 	mustEdge(t, g, 0, 2, 100, 100)
 	mustEdge(t, g, 2, 1, 50, 50)
-	p, ok := g.WidestPath(0, 1)
+	p, ok := NewPathFinder(g).widestPath(0, 1, false)
 	if !ok {
 		t.Fatal("no widest path")
 	}
@@ -196,7 +210,7 @@ func TestWidestPathTieBreaksOnHops(t *testing.T) {
 	mustEdge(t, g, 0, 1, 10, 10)
 	mustEdge(t, g, 0, 2, 10, 10)
 	mustEdge(t, g, 2, 1, 10, 10)
-	p, ok := g.WidestPath(0, 1)
+	p, ok := NewPathFinder(g).widestPath(0, 1, false)
 	if !ok || p.Len() != 1 {
 		t.Fatalf("expected 1-hop path, got %+v", p)
 	}
@@ -206,10 +220,10 @@ func TestWidestPathDirectional(t *testing.T) {
 	// The only route 0→1 has zero capacity in that direction.
 	g := New(2)
 	mustEdge(t, g, 0, 1, 0, 10)
-	if _, ok := g.WidestPath(0, 1); ok {
+	if _, ok := NewPathFinder(g).widestPath(0, 1, false); ok {
 		t.Fatal("found path through zero-capacity direction")
 	}
-	if p, ok := g.WidestPath(1, 0); !ok || p.Bottleneck(g) != 10 {
+	if p, ok := NewPathFinder(g).widestPath(1, 0, false); !ok || p.Bottleneck(g) != 10 {
 		t.Fatal("reverse direction should be routable at width 10")
 	}
 }
@@ -222,7 +236,7 @@ func TestKShortestPathsOrderAndUniqueness(t *testing.T) {
 	mustEdge(t, g, 0, 2, 1, 1)
 	mustEdge(t, g, 2, 3, 1, 1)
 	mustEdge(t, g, 1, 2, 1, 1)
-	paths := g.KShortestPaths(0, 3, 10, UnitWeight)
+	paths := NewPathFinder(g).KShortestPaths(0, 3, 10, UnitWeight)
 	if len(paths) < 3 {
 		t.Fatalf("found %d paths, want >= 3", len(paths))
 	}
@@ -255,7 +269,7 @@ func TestKShortestPathsOrderAndUniqueness(t *testing.T) {
 
 func TestKShortestPathsKOne(t *testing.T) {
 	g := line(4, 1)
-	paths := g.KShortestPaths(0, 3, 1, UnitWeight)
+	paths := NewPathFinder(g).KShortestPaths(0, 3, 1, UnitWeight)
 	if len(paths) != 1 || paths[0].Len() != 3 {
 		t.Fatalf("paths = %+v", paths)
 	}
@@ -263,7 +277,7 @@ func TestKShortestPathsKOne(t *testing.T) {
 
 func TestKShortestPathsNoneWhenDisconnected(t *testing.T) {
 	g := New(2)
-	if paths := g.KShortestPaths(0, 1, 3, UnitWeight); paths != nil {
+	if paths := NewPathFinder(g).KShortestPaths(0, 1, 3, UnitWeight); paths != nil {
 		t.Fatalf("expected nil, got %+v", paths)
 	}
 }
@@ -278,7 +292,7 @@ func TestEdgeDisjointShortestPaths(t *testing.T) {
 	mustEdge(t, g, 0, 4, 1, 1)
 	mustEdge(t, g, 4, 5, 1, 1)
 	mustEdge(t, g, 5, 3, 1, 1)
-	paths := g.EdgeDisjointShortestPaths(0, 3, 5)
+	paths := NewPathFinder(g).EdgeDisjointShortestPaths(0, 3, 5)
 	if len(paths) != 3 {
 		t.Fatalf("got %d paths, want 3", len(paths))
 	}
@@ -303,7 +317,7 @@ func TestEdgeDisjointWidestPaths(t *testing.T) {
 	mustEdge(t, g, 1, 3, 100, 100)
 	mustEdge(t, g, 0, 2, 10, 10)
 	mustEdge(t, g, 2, 3, 10, 10)
-	paths := g.EdgeDisjointWidestPaths(0, 3, 5)
+	paths := NewPathFinder(g).EdgeDisjointWidestPaths(0, 3, 5)
 	if len(paths) != 2 {
 		t.Fatalf("got %d paths, want 2", len(paths))
 	}
@@ -318,7 +332,7 @@ func TestHighestFundPaths(t *testing.T) {
 	mustEdge(t, g, 1, 3, 5, 5)
 	mustEdge(t, g, 0, 2, 50, 50)
 	mustEdge(t, g, 2, 3, 50, 50)
-	paths := g.HighestFundPaths(0, 3, 1)
+	paths := NewPathFinder(g).HighestFundPaths(0, 3, 1)
 	if len(paths) != 1 {
 		t.Fatalf("got %d paths", len(paths))
 	}
@@ -334,7 +348,7 @@ func TestMaxFlowSimple(t *testing.T) {
 	mustEdge(t, g, 1, 3, 1, 0)
 	mustEdge(t, g, 0, 2, 1, 0)
 	mustEdge(t, g, 2, 3, 1, 0)
-	total, paths := g.MaxFlow(0, 3, math.Inf(1))
+	total, paths := g.MaxFlowWith(new(MaxFlowScratch), 0, 3, math.Inf(1))
 	if math.Abs(total-2) > 1e-9 {
 		t.Fatalf("max flow = %v, want 2", total)
 	}
@@ -355,7 +369,7 @@ func TestMaxFlowBottleneck(t *testing.T) {
 	g := New(3)
 	mustEdge(t, g, 0, 1, 10, 0)
 	mustEdge(t, g, 1, 2, 3, 0)
-	total, _ := g.MaxFlow(0, 2, math.Inf(1))
+	total, _ := g.MaxFlowWith(new(MaxFlowScratch), 0, 2, math.Inf(1))
 	if math.Abs(total-3) > 1e-9 {
 		t.Fatalf("max flow = %v, want 3", total)
 	}
@@ -364,7 +378,7 @@ func TestMaxFlowBottleneck(t *testing.T) {
 func TestMaxFlowRespectsLimit(t *testing.T) {
 	g := New(2)
 	mustEdge(t, g, 0, 1, 100, 0)
-	total, paths := g.MaxFlow(0, 1, 7)
+	total, paths := g.MaxFlowWith(new(MaxFlowScratch), 0, 1, 7)
 	if math.Abs(total-7) > 1e-9 {
 		t.Fatalf("limited flow = %v, want 7", total)
 	}
@@ -375,7 +389,7 @@ func TestMaxFlowRespectsLimit(t *testing.T) {
 
 func TestMaxFlowZeroWhenDisconnected(t *testing.T) {
 	g := New(2)
-	total, paths := g.MaxFlow(0, 1, math.Inf(1))
+	total, paths := g.MaxFlowWith(new(MaxFlowScratch), 0, 1, math.Inf(1))
 	if total != 0 || paths != nil {
 		t.Fatalf("total=%v paths=%v", total, paths)
 	}
@@ -383,7 +397,7 @@ func TestMaxFlowZeroWhenDisconnected(t *testing.T) {
 
 func TestMaxFlowSelf(t *testing.T) {
 	g := line(2, 1)
-	if total, _ := g.MaxFlow(0, 0, math.Inf(1)); total != 0 {
+	if total, _ := g.MaxFlowWith(new(MaxFlowScratch), 0, 0, math.Inf(1)); total != 0 {
 		t.Fatalf("self flow = %v", total)
 	}
 }
@@ -421,12 +435,12 @@ func TestPropertyWidestPathIsWidest(t *testing.T) {
 		src := rng.New(seed)
 		g := randomConnectedGraph(src, 12, 15, 100)
 		s, d := NodeID(0), NodeID(11)
-		wp, ok := g.WidestPath(s, d)
+		wp, ok := NewPathFinder(g).widestPath(s, d, false)
 		if !ok {
 			return false // graph is connected, must exist
 		}
 		wb := wp.Bottleneck(g)
-		for _, p := range g.KShortestPaths(s, d, 5, UnitWeight) {
+		for _, p := range NewPathFinder(g).KShortestPaths(s, d, 5, UnitWeight) {
 			if p.Bottleneck(g) > wb+1e-9 {
 				return false
 			}
@@ -444,11 +458,11 @@ func TestPropertyMaxFlowAtLeastWidest(t *testing.T) {
 		src := rng.New(seed)
 		g := randomConnectedGraph(src, 10, 12, 50)
 		s, d := NodeID(0), NodeID(9)
-		wp, ok := g.WidestPath(s, d)
+		wp, ok := NewPathFinder(g).widestPath(s, d, false)
 		if !ok {
 			return false
 		}
-		total, _ := g.MaxFlow(s, d, math.Inf(1))
+		total, _ := g.MaxFlowWith(new(MaxFlowScratch), s, d, math.Inf(1))
 		return total >= wp.Bottleneck(g)-1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -483,7 +497,7 @@ func TestPropertyDecompositionConserves(t *testing.T) {
 		if src.IntN(3) == 0 {
 			limit = src.Float64() * 40
 		}
-		total, paths := g.MaxFlow(s, d, limit)
+		total, paths := g.MaxFlowWith(new(MaxFlowScratch), s, d, limit)
 		// Leftovers of a finished run are mostly zeros; make them hostile.
 		fill(scratch.flow, 1e9)
 		fill(scratch.seen, true)
@@ -541,12 +555,6 @@ func TestHasEdgeBetween(t *testing.T) {
 	g := line(3, 1)
 	if !g.HasEdgeBetween(0, 1) || g.HasEdgeBetween(0, 2) {
 		t.Fatal("HasEdgeBetween wrong")
-	}
-	if e, ok := g.EdgeBetween(1, 2); !ok || e.ID != 1 {
-		t.Fatalf("EdgeBetween = %+v ok=%v", e, ok)
-	}
-	if _, ok := g.EdgeBetween(0, 2); ok {
-		t.Fatal("EdgeBetween found non-existent edge")
 	}
 }
 

@@ -123,16 +123,6 @@ func NewHubLabels(g *Graph, pf *PathFinder, hubs []NodeID) *HubLabels {
 	return hl
 }
 
-// Hubs returns the label roots (deduplicated, in seed order). The returned
-// slice must not be modified.
-func (hl *HubLabels) Hubs() []NodeID { return hl.hubs }
-
-// IsHub reports whether n is a label root.
-func (hl *HubLabels) IsHub(n NodeID) bool {
-	_, ok := hl.hubIdx[n]
-	return ok
-}
-
 // Stats returns a snapshot of the activity counters.
 func (hl *HubLabels) Stats() LabelStats { return hl.stats }
 
@@ -381,40 +371,6 @@ type LabelView struct {
 // Hubs returns the label roots. The returned slice must not be modified.
 func (v LabelView) Hubs() []NodeID { return v.hl.hubs }
 
-// IsHub reports whether n is a label root.
-func (v LabelView) IsHub(n NodeID) bool {
-	_, ok := v.hl.hubIdx[n]
-	return ok
-}
-
-// UnitShortestPath answers like HubLabels.UnitShortestPath, using pf for
-// non-hub-rooted fallbacks.
-func (v LabelView) UnitShortestPath(pf *PathFinder, src, dst NodeID) (Path, bool) {
-	if hi, ok := v.hl.hubIdx[src]; ok {
-		t := &v.hl.trees[hi]
-		if int(dst) >= len(t.dist) || t.dist[dst] < 0 {
-			return Path{}, false
-		}
-		return t.path(dst), true
-	}
-	return pf.UnitShortestPath(src, dst)
-}
-
-// UnitShortestPaths answers like HubLabels.UnitShortestPaths.
-func (v LabelView) UnitShortestPaths(pf *PathFinder, src NodeID, dsts []NodeID) []Path {
-	if hi, ok := v.hl.hubIdx[src]; ok {
-		t := &v.hl.trees[hi]
-		out := make([]Path, len(dsts))
-		for i, d := range dsts {
-			if int(d) < len(t.dist) && t.dist[d] >= 0 {
-				out[i] = t.path(d)
-			}
-		}
-		return out
-	}
-	return pf.UnitShortestPaths(src, dsts)
-}
-
 // KShortestPathsUnit answers like HubLabels.KShortestPathsUnit: when src is
 // a hub the tree supplies Yen's first path and pf runs only the spur
 // searches; results are identical either way.
@@ -427,27 +383,4 @@ func (v LabelView) KShortestPathsUnit(pf *PathFinder, src, dst NodeID, k int) []
 		return pf.kShortestPathsFrom(t.path(dst), dst, k, UnitWeight, true)
 	}
 	return pf.KShortestPathsUnit(src, dst, k)
-}
-
-// DistUpperBound returns min over hubs h of dist_h(src)+dist_h(dst) — the
-// classic label-intersection distance, exact when some shortest src→dst
-// path passes through a hub and an upper bound otherwise. ok is false when
-// no hub reaches both endpoints (or there are no hubs).
-func (hl *HubLabels) DistUpperBound(src, dst NodeID) (int, bool) {
-	hl.sync()
-	best, found := 0, false
-	for hi := range hl.trees {
-		t := hl.ensureTree(hi)
-		if int(src) >= len(t.dist) || int(dst) >= len(t.dist) {
-			continue
-		}
-		ds, dd := t.dist[src], t.dist[dst]
-		if ds < 0 || dd < 0 {
-			continue
-		}
-		if d := int(ds + dd); !found || d < best {
-			best, found = d, true
-		}
-	}
-	return best, found
 }

@@ -46,8 +46,8 @@ func TestHubLabelMatchesPathFinder(t *testing.T) {
 		if st.Served == 0 || st.Fallbacks == 0 {
 			t.Fatalf("expected both served and fallback queries, got %+v", st)
 		}
-		if st.Builds != uint64(len(hl.Hubs())) {
-			t.Fatalf("static graph built %d trees for %d hubs", st.Builds, len(hl.Hubs()))
+		if st.Builds != uint64(len(hl.hubs)) {
+			t.Fatalf("static graph built %d trees for %d hubs", st.Builds, len(hl.hubs))
 		}
 	}
 }
@@ -223,32 +223,5 @@ func TestHubLabelResync(t *testing.T) {
 	}
 	if st := hl.Stats(); st.Resyncs != 1 {
 		t.Fatalf("expected 1 resync, got %+v", st)
-	}
-}
-
-func TestHubLabelDistUpperBound(t *testing.T) {
-	g := randomTestGraph(t, 66, 200, 400)
-	rng := rand.New(rand.NewSource(6600))
-	hubs := randomHubs(rng, g, 5)
-	hl := NewHubLabels(g, nil, hubs)
-	ref := NewPathFinder(g)
-	for q := 0; q < 100; q++ {
-		src := NodeID(rng.Intn(g.NumNodes()))
-		dst := NodeID(rng.Intn(g.NumNodes()))
-		bound, ok := hl.DistUpperBound(src, dst)
-		p, reach := ref.UnitShortestPath(src, dst)
-		if !reach {
-			if ok {
-				t.Fatalf("%d->%d unreachable but bound %d", src, dst, bound)
-			}
-			continue
-		}
-		if ok && bound < p.Len() {
-			t.Fatalf("%d->%d bound %d below true distance %d", src, dst, bound, p.Len())
-		}
-		// A hub-rooted query's bound through that hub is exact.
-		if hl.IsHub(src) && (!ok || bound != p.Len()) {
-			t.Fatalf("hub-rooted %d->%d bound %d/%v, true %d", src, dst, bound, ok, p.Len())
-		}
 	}
 }

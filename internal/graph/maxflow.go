@@ -45,16 +45,6 @@ func sized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// MaxFlow computes the maximum src→dst flow respecting directional edge
-// capacities using Dinic's algorithm, and decomposes the resulting flow into
-// paths. The Flash baseline uses this to route "elephant" payments.
-//
-// limit caps the computed flow (pass math.Inf(1) for the true max flow):
-// Flash stops augmenting once the payment amount is covered.
-func (g *Graph) MaxFlow(src, dst NodeID, limit float64) (float64, []FlowPath) {
-	return g.MaxFlowWith(new(MaxFlowScratch), src, dst, limit)
-}
-
 // MaxFlowWith is MaxFlow on caller-owned scratch storage; the result is
 // identical whatever the scratch held before.
 //

@@ -71,9 +71,6 @@ func NewPathFinder(g *Graph) *PathFinder {
 	return pf
 }
 
-// Graph returns the graph this finder is bound to.
-func (pf *PathFinder) Graph() *Graph { return pf.g }
-
 // Rebind points the finder at a different graph, keeping its scratch
 // allocations. All per-query scratch is stamp-invalidated at the next begin,
 // and the persistent marks (bannedNode, the current edge set) are only
@@ -425,13 +422,6 @@ search:
 	return out
 }
 
-// WidestPath returns the path from src to dst maximizing the bottleneck
-// directional capacity (a maximin Dijkstra). Ties are broken by hop count.
-// ok is false when dst is unreachable through positive-capacity arcs.
-func (pf *PathFinder) WidestPath(src, dst NodeID) (Path, bool) {
-	return pf.widestPath(src, dst, false)
-}
-
 // widestPath is WidestPath with an optional mask: when masked, edges in the
 // current edge set are skipped — exactly what zeroing their capacities on a
 // cloned graph did, without the clone.
@@ -501,8 +491,7 @@ func (pf *PathFinder) widestPath(src, dst NodeID, masked bool) (Path, bool) {
 // EdgeDisjointWidestPaths greedily extracts up to k pairwise edge-disjoint
 // widest paths (the EDW path type) on the finder's scratch state: find the
 // widest path, mask its edges, repeat. Masking uses the stamped edge set,
-// so — unlike Graph.EdgeDisjointWidestPaths — no graph clone and no
-// throwaway finder are built per query; results are identical.
+// so no graph clone and no throwaway finder are built per query.
 func (pf *PathFinder) EdgeDisjointWidestPaths(src, dst NodeID, k int) []Path {
 	pf.beginEdgeSet()
 	var out []Path

@@ -45,8 +45,8 @@ func TestPathFinderReuseMatchesFresh(t *testing.T) {
 			t.Fatalf("query %d: shortest %d->%d reused %v/%v fresh %v/%v", q, s, d, got, gotOK, want, wantOK)
 		}
 
-		got, gotOK = pf.WidestPath(s, d)
-		want, wantOK = NewPathFinder(g).WidestPath(s, d)
+		got, gotOK = pf.widestPath(s, d, false)
+		want, wantOK = NewPathFinder(g).widestPath(s, d, false)
 		if gotOK != wantOK || (gotOK && !got.Equal(want)) {
 			t.Fatalf("query %d: widest %d->%d reused %v/%v fresh %v/%v", q, s, d, got, gotOK, want, wantOK)
 		}

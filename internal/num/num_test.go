@@ -12,11 +12,17 @@ func pathThrough(t *testing.T, g *graph.Graph, nodes ...graph.NodeID) graph.Path
 	t.Helper()
 	p := graph.Path{Nodes: nodes}
 	for i := 0; i+1 < len(nodes); i++ {
-		e, ok := g.EdgeBetween(nodes[i], nodes[i+1])
-		if !ok {
-			t.Fatalf("no edge %d-%d", nodes[i], nodes[i+1])
+		u, v := nodes[i], nodes[i+1]
+		found := false
+		for id := 0; id < g.NumEdges() && !found; id++ {
+			e := g.Edge(graph.EdgeID(id))
+			if found = e.U == u && e.V == v || e.U == v && e.V == u; found {
+				p.Edges = append(p.Edges, e.ID)
+			}
 		}
-		p.Edges = append(p.Edges, e.ID)
+		if !found {
+			t.Fatalf("no edge %d-%d", u, v)
+		}
 	}
 	return p
 }

@@ -64,7 +64,7 @@ func TestPaymentLifecycleAllocs(t *testing.T) {
 				}
 			}
 			n.runEngine(duration)
-			sent, queued := n.Metrics().Counter("tu_sent"), n.Metrics().Counter("tu_queued")
+			sent, queued := n.metrics.Counter("tu_sent"), n.metrics.Counter("tu_queued")
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			n.runEngine(2*duration + 5)
@@ -80,8 +80,8 @@ func TestPaymentLifecycleAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			perPayment := float64(after.Mallocs-before.Mallocs) / float64(len(trace))
-			tus := (n.Metrics().Counter("tu_sent") - sent) / float64(len(trace))
-			waits := (n.Metrics().Counter("tu_queued") - queued) / float64(len(trace))
+			tus := (n.metrics.Counter("tu_sent") - sent) / float64(len(trace))
+			waits := (n.metrics.Counter("tu_queued") - queued) / float64(len(trace))
 			ceiling := math.Ceil(c.pin * 1.2)
 			t.Logf("%.2f allocs/payment, %.2f TUs sent and %.2f queued per payment over the %d payments of the warm pass (pin %v, ceiling %v)", perPayment, tus, waits, len(trace), c.pin, ceiling)
 			if perPayment > ceiling {

@@ -34,7 +34,7 @@ func TestCloseChannelInvalidatesRoutes(t *testing.T) {
 	compute := func() ([]graph.Path, error) {
 		return routing.SelectPathsWith(n.PathFinder(), 0, 2, 1, routing.KSP)
 	}
-	paths, err := n.Routes().GetOrCompute(key, compute)
+	paths, err := n.routes.GetOrCompute(key, compute)
 	if err != nil || len(paths) != 1 {
 		t.Fatalf("seed compute: %v paths, err %v", len(paths), err)
 	}
@@ -42,10 +42,10 @@ func TestCloseChannelInvalidatesRoutes(t *testing.T) {
 	if err := n.CloseChannel(closed); err != nil {
 		t.Fatal(err)
 	}
-	if n.Routes().Len() != 0 {
-		t.Fatalf("route cache holds %d entries after close, want 0", n.Routes().Len())
+	if n.routes.Len() != 0 {
+		t.Fatalf("route cache holds %d entries after close, want 0", n.routes.Len())
 	}
-	paths, err = n.Routes().GetOrCompute(key, compute)
+	paths, err = n.routes.GetOrCompute(key, compute)
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("recompute after close: %v paths, err %v", len(paths), err)
 	}
@@ -64,7 +64,7 @@ func TestCloseChannelInvalidatesRoutes(t *testing.T) {
 func TestOpenChannelInvalidatesRoutes(t *testing.T) {
 	n := ringNetwork(t)
 	key := RouteKey{Src: 0, Dst: 3, Type: routing.KSP, K: 1}
-	if _, err := n.Routes().GetOrCompute(key, func() ([]graph.Path, error) {
+	if _, err := n.routes.GetOrCompute(key, func() ([]graph.Path, error) {
 		return routing.SelectPathsWith(n.PathFinder(), 0, 3, 1, routing.KSP)
 	}); err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestOpenChannelInvalidatesRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Routes().Len() != 0 {
+	if n.routes.Len() != 0 {
 		t.Fatal("route cache not invalidated by OpenChannel")
 	}
 	if n.Channel(eid).Balance(channel.Fwd) != 50 {
@@ -229,7 +229,7 @@ func TestRePlaceHubsAfterHubDeparture(t *testing.T) {
 		if n.Departed(id) {
 			continue
 		}
-		if h, ok := n.HubOf(id); ok && n.Departed(h) {
+		if h, ok := n.hubOf[id]; ok && n.Departed(h) {
 			t.Fatalf("client %d still assigned to departed hub %d", id, h)
 		}
 	}

@@ -30,11 +30,6 @@ func (n *Network) TotalFunds() float64 {
 	return total
 }
 
-// ExpectedFunds returns the recorded capital inflow: initial channel funding
-// plus every deposit made since (multi-star reshape, hub capital pledges,
-// dynamic opens and top-ups).
-func (n *Network) ExpectedFunds() float64 { return n.capitalIn }
-
 // CheckConservation verifies the conservation-of-funds invariant. The
 // tolerance scales with the capital in the system: each HTLC operation moves
 // exactly what the 1e-9 Settle/Refund tolerance admits, so the live sum can

@@ -752,18 +752,6 @@ func (n *Network) Policy() SchemePolicy { return n.policy }
 // Hubs returns the scheme's hub set (nil for source-routing schemes).
 func (n *Network) Hubs() []graph.NodeID { return append([]graph.NodeID(nil), n.hubs...) }
 
-// HubOf returns the managing hub for a client (Splicer/A2L).
-func (n *Network) HubOf(client graph.NodeID) (graph.NodeID, bool) {
-	h, ok := n.hubOf[client]
-	return h, ok
-}
-
-// Metrics exposes the metrics registry.
-func (n *Network) Metrics() *sim.Metrics { return n.metrics }
-
-// Now returns the current simulation time.
-func (n *Network) Now() float64 { return n.engine.Now() }
-
 // Result summarizes a run.
 type Result struct {
 	Scheme               Scheme

@@ -67,7 +67,7 @@ func runScheme(t *testing.T, scheme Scheme, seed uint64, nodes int) (Result, *Ne
 	// No funds may remain locked after every deadline passed.
 	for i := 0; i < n.Graph().NumEdges(); i++ {
 		ch := n.Channel(graph.EdgeID(i))
-		if ch.Locked(channel.Fwd) > 1e-9 || ch.Locked(channel.Rev) > 1e-9 {
+		if ch.Capacity()-ch.Balance(channel.Fwd)-ch.Balance(channel.Rev) > 2e-9 {
 			t.Fatalf("%v: channel %d still has locked funds after run", scheme, i)
 		}
 	}
@@ -151,7 +151,7 @@ func TestSplicerPlacesHubs(t *testing.T) {
 		if n.isHub[node] {
 			continue
 		}
-		if _, ok := n.HubOf(node); !ok {
+		if _, ok := n.hubOf[node]; !ok {
 			t.Fatalf("node %d has no managing hub", node)
 		}
 	}
@@ -249,11 +249,11 @@ func TestSchemeByName(t *testing.T) {
 
 func TestGeneratedCounterMatchesTrace(t *testing.T) {
 	res, n := runScheme(t, SchemeSpider, 61, 40)
-	if got := int(n.Metrics().Counter("tx_generated")); got != res.Generated {
+	if got := int(n.metrics.Counter("tx_generated")); got != res.Generated {
 		t.Fatalf("generated counter %d != trace %d", got, res.Generated)
 	}
 	// Completed + failed == generated (every tx resolves).
-	failed := int(n.Metrics().Counter("tx_failed"))
+	failed := int(n.metrics.Counter("tx_failed"))
 	if res.Completed+failed != res.Generated {
 		t.Fatalf("completed %d + failed %d != generated %d", res.Completed, failed, res.Generated)
 	}

@@ -16,7 +16,7 @@ import (
 type widestPolicy struct{ basePolicy }
 
 func (widestPolicy) Plan(n *Network, tx workload.Tx) ([]graph.Path, []Allocation, error) {
-	p, ok := n.g.ShortestPath(tx.Sender, tx.Recipient, graph.UnitWeight)
+	p, ok := graph.NewPathFinder(n.g).ShortestPath(tx.Sender, tx.Recipient, graph.UnitWeight)
 	if !ok {
 		return nil, nil, nil
 	}

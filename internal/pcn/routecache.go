@@ -38,9 +38,9 @@ type routeCacheShard struct {
 
 // RouteCache is the network-wide path cache shared by every SchemePolicy.
 // Route computation dominates the simulator's hot path (Dijkstra/Yen per
-// sender-recipient pair), so policies funnel every path set — raw SelectPaths
-// results, composed hub routes, mice paths — through this cache instead of
-// keeping ad-hoc per-policy maps.
+// sender-recipient pair), so policies funnel every path set — raw
+// SelectPathsWith results, composed hub routes, mice paths — through this
+// cache instead of keeping ad-hoc per-policy maps.
 //
 // Invalidation contract: any mutation of the routed topology — adding
 // channels (ReshapeMultiStar), rescaling channel funds (CapitalizeHubs), or

@@ -111,8 +111,8 @@ type reshapePolicy struct {
 
 func (p *reshapePolicy) Setup(n *Network) error {
 	p.keyBeforeReshape = RouteKey{Src: 0, Dst: 1, Type: routing.KSP, K: 1}
-	if _, err := n.Routes().GetOrCompute(p.keyBeforeReshape, func() ([]graph.Path, error) {
-		pa, ok := n.Graph().ShortestPath(0, 1, graph.UnitWeight)
+	if _, err := n.routes.GetOrCompute(p.keyBeforeReshape, func() ([]graph.Path, error) {
+		pa, ok := graph.NewPathFinder(n.Graph()).ShortestPath(0, 1, graph.UnitWeight)
 		if !ok {
 			return nil, fmt.Errorf("0-1 unreachable")
 		}
@@ -120,7 +120,7 @@ func (p *reshapePolicy) Setup(n *Network) error {
 	}); err != nil {
 		return err
 	}
-	p.genBefore = n.Routes().Generation()
+	p.genBefore = n.routes.Generation()
 	hub := graph.NodeID(n.Graph().NumNodes() - 1)
 	n.SetHubs([]graph.NodeID{hub})
 	for i := 0; i < n.Graph().NumNodes()-1; i++ {
@@ -131,7 +131,7 @@ func (p *reshapePolicy) Setup(n *Network) error {
 }
 
 func (p *reshapePolicy) Plan(n *Network, tx workload.Tx) ([]graph.Path, []Allocation, error) {
-	pa, ok := n.Graph().ShortestPath(tx.Sender, tx.Recipient, graph.UnitWeight)
+	pa, ok := graph.NewPathFinder(n.Graph()).ShortestPath(tx.Sender, tx.Recipient, graph.UnitWeight)
 	if !ok {
 		return nil, nil, nil
 	}
@@ -147,13 +147,13 @@ func TestRouteCacheInvalidatedWhenSetupReshapesTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Routes().Generation() <= pol.genBefore {
-		t.Fatalf("generation %d not bumped past %d by ReshapeMultiStar", n.Routes().Generation(), pol.genBefore)
+	if n.routes.Generation() <= pol.genBefore {
+		t.Fatalf("generation %d not bumped past %d by ReshapeMultiStar", n.routes.Generation(), pol.genBefore)
 	}
-	if n.Routes().Len() != 0 {
-		t.Fatalf("%d stale entries survived the reshape", n.Routes().Len())
+	if n.routes.Len() != 0 {
+		t.Fatalf("%d stale entries survived the reshape", n.routes.Len())
 	}
-	if _, ok := n.Routes().Get(pol.keyBeforeReshape); ok {
+	if _, ok := n.routes.Get(pol.keyBeforeReshape); ok {
 		t.Fatal("pre-reshape path set still served after topology mutation")
 	}
 }
@@ -167,13 +167,13 @@ func TestCapitalizeHubsInvalidatesRoutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := RouteKey{Src: 2, Dst: 3, Type: routing.EDW, K: 2}
-	n.Routes().Put(key, nil)
-	gen := n.Routes().Generation()
+	n.routes.Put(key, nil)
+	gen := n.routes.Generation()
 	n.CapitalizeHubs() // rescales hub channel funds: capacity-aware paths stale
-	if n.Routes().Generation() <= gen {
+	if n.routes.Generation() <= gen {
 		t.Fatal("CapitalizeHubs did not invalidate the route cache")
 	}
-	if _, ok := n.Routes().Get(key); ok {
+	if _, ok := n.routes.Get(key); ok {
 		t.Fatal("stale capacity-aware path set survived CapitalizeHubs")
 	}
 }
@@ -190,10 +190,10 @@ func TestPoliciesReuseCachedRoutes(t *testing.T) {
 		if _, err := n.Run(trace); err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
-		if n.Routes().Hits() == 0 {
+		if n.routes.Hits() == 0 {
 			t.Errorf("%v: route cache never hit over %d payments", scheme, len(trace))
 		}
-		if n.Routes().Misses() == 0 {
+		if n.routes.Misses() == 0 {
 			t.Errorf("%v: route cache never missed (nothing was computed?)", scheme)
 		}
 	}

@@ -42,7 +42,7 @@ func TestRoutingOverrideEquivalence(t *testing.T) {
 		if labeled.LabelServed == 0 || labeled.LabelBuilds == 0 {
 			t.Fatalf("%v: label counters missing from Result: %+v", scheme, labeled)
 		}
-		if got := n.Metrics().Counter("label_served"); got != float64(labeled.LabelServed) {
+		if got := n.metrics.Counter("label_served"); got != float64(labeled.LabelServed) {
 			t.Fatalf("%v: metrics label_served %v != Result %d", scheme, got, labeled.LabelServed)
 		}
 

@@ -15,7 +15,7 @@ import "github.com/splicer-pcn/splicer/internal/graph"
 // EnableSnapshots attaches an epoch-snapshot store to the network and
 // publishes the first epoch. From then on every topology invalidation
 // (channel open/close, top-up, reshape, re-placement) publishes the next
-// epoch atomically; readers use Snapshots().Acquire / Release. The label
+// epoch atomically; readers use the store's Acquire / Release. The label
 // roots follow the network's hub/label-seed set across re-placements.
 // Idempotent; returns the store.
 func (n *Network) EnableSnapshots() *graph.SnapshotStore {
@@ -26,10 +26,6 @@ func (n *Network) EnableSnapshots() *graph.SnapshotStore {
 	}
 	return n.snapshots
 }
-
-// Snapshots returns the epoch store, or nil when EnableSnapshots was never
-// called (batch mode).
-func (n *Network) Snapshots() *graph.SnapshotStore { return n.snapshots }
 
 // PublishSnapshot forces a fresh epoch reflecting the current topology AND
 // capacities. The automatic publication on InvalidateRoutes lets

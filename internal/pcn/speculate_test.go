@@ -136,7 +136,7 @@ func TestFlashPrefetchesMicePathsOnly(t *testing.T) {
 	if e := n.spec.entries[want]; len(n.spec.entries) != 1 || e == nil || len(e.paths) == 0 {
 		t.Fatalf("a mouse prefetched %v, want one entry under %+v", n.spec.entries, want)
 	}
-	if n.Routes().Hits()+n.Routes().Misses() != 0 {
+	if n.routes.Hits()+n.routes.Misses() != 0 {
 		t.Fatal("prefetching moved the live route-cache counters")
 	}
 }
@@ -263,7 +263,7 @@ func TestSplicerPrefetchesLabelFreeKeysOnly(t *testing.T) {
 	if n.labels != nil || w.shadow.labels != nil {
 		t.Fatal("a prefetch reached the label tier")
 	}
-	if n.Routes().Hits()+n.Routes().Misses() != 0 {
+	if n.routes.Hits()+n.routes.Misses() != 0 {
 		t.Fatal("prefetching moved the live route-cache counters")
 	}
 }

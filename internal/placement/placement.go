@@ -7,19 +7,20 @@
 // is minimized, where C_M is the client-management cost (eq. 3), C_S the
 // hub-synchronization cost (eq. 4) and ω the tradeoff weight.
 //
-// Three solvers are provided, and Solve picks between the first and the
-// last by instance size:
+// Solve picks between two solvers by instance size:
 //
 //   - SolveExhaustive — enumerates all non-empty candidate subsets; the
 //     ground-truth optimum for small instances.
-//   - SolveMILP — the paper's small-scale track: the standard linearization
-//     (eqs. 6-10) handed to the internal branch-and-bound MILP solver.
 //   - SolveDoubleGreedy — the paper's large-scale track: Buchbinder et al.'s
 //     double-greedy 1/2-approximation applied to the submodular complement
 //     of the supermodular set function f(X) = C_B(x_X, y(x_X)) (Alg. 1).
 //
+// The paper's small-scale track, the linearized MILP of eqs. 6-10, lives in
+// the package tests: a test solves it with internal/milp and checks that it
+// equals exhaustive search.
+//
 // Lemma 1 (optimal assignment for a fixed placement) is one allocation-free
-// pass that Assign, Evaluate and all three solvers share.
+// pass that both solvers share.
 package placement
 
 import (
@@ -27,8 +28,6 @@ import (
 	"math"
 
 	"github.com/splicer-pcn/splicer/internal/graph"
-	"github.com/splicer-pcn/splicer/internal/lp"
-	"github.com/splicer-pcn/splicer/internal/milp"
 	"github.com/splicer-pcn/splicer/internal/rng"
 )
 
@@ -193,12 +192,12 @@ func (p Plan) PlacedCandidates() []int {
 	return out
 }
 
-// evaluator is the one Lemma-1 cost pass behind Assign, Evaluate and both
-// solvers. Its scratch is sized once per instance and reused for every
-// placement it scores, so probing a subset allocates nothing. The pass visits
-// only placed candidates, in ascending index order, and keeps the summation
-// order (and the exact expressions) of the textbook loops over all
-// candidates, so every sum, tie and total is bit-for-bit what they compute.
+// evaluator is the one Lemma-1 cost pass behind both solvers. Its scratch is
+// sized once per instance and reused for every placement it scores, so
+// probing a subset allocates nothing. The pass visits only placed
+// candidates, in ascending index order, and keeps the summation order (and
+// the exact expressions) of the textbook loops over all candidates, so every
+// sum, tie and total is bit-for-bit what they compute.
 type evaluator struct {
 	in *Instance
 	// placed lists the placed candidate indices in ascending order; burden[k]
@@ -280,20 +279,6 @@ func (e *evaluator) plan(placed []bool) Plan {
 	return p
 }
 
-// Assign computes the Lemma-1 optimal assignment for the placement x: each
-// client goes to the placed candidate n minimizing
-// ω·Σ_{l placed} δ_nl + ζ_mn. It returns nil if no candidate is placed.
-func (in *Instance) Assign(placed []bool) []int {
-	return newEvaluator(in).plan(placed).Assign
-}
-
-// Evaluate computes the plan (assignment + cost breakdown) for a placement
-// vector. An all-false placement yields an infeasible plan with infinite
-// cost.
-func (in *Instance) Evaluate(placed []bool) Plan {
-	return newEvaluator(in).plan(placed)
-}
-
 // maxExactCandidates is the largest candidate set Solve answers exactly.
 const maxExactCandidates = 16
 
@@ -341,128 +326,6 @@ func (in *Instance) SolveExhaustive() (Plan, error) {
 		placed[i] = bestMask&(1<<i) != 0
 	}
 	return e.plan(placed), nil
-}
-
-// MILPOptions tunes SolveMILP.
-type MILPOptions struct {
-	// MaxNodes bounds branch-and-bound (0 = default).
-	MaxNodes int
-}
-
-// SolveMILP builds the paper's linearized MILP (eqs. 6-10) and solves it
-// exactly with branch-and-bound. Variable layout:
-//
-//	x_n               n in [0,N)            — candidate placed
-//	y_mn              m in [0,M), n in [0,N) — client assignment
-//	ϑ_nl              n,l in [0,N)           — x_n·x_l linearization
-//	φ_nlm             n,l in [0,N), m in [0,M) — ϑ_nl·y_mn linearization
-//
-// The instance must be small: variables grow as N²·M.
-func (in *Instance) SolveMILP(opts MILPOptions) (Plan, error) {
-	if err := in.Validate(); err != nil {
-		return Plan{}, err
-	}
-	M, N := len(in.Clients), len(in.Candidates)
-	numVars := N + M*N + N*N + N*N*M
-	if numVars > 4000 {
-		return Plan{}, fmt.Errorf("placement: MILP instance too large (%d variables); use SolveDoubleGreedy", numVars)
-	}
-	xIdx := func(n int) int { return n }
-	yIdx := func(m, n int) int { return N + m*N + n }
-	thIdx := func(n, l int) int { return N + M*N + n*N + l }
-	phIdx := func(n, l, m int) int { return N + M*N + N*N + (n*N+l)*M + m }
-
-	p := milp.NewProblem(numVars)
-	for i := 0; i < numVars; i++ {
-		if err := p.SetBinary(i); err != nil {
-			return Plan{}, err
-		}
-	}
-	// Objective: Σ ζ_mn y_mn + ω Σ_nl (Σ_m δ_nl φ_nlm + ε_nl ϑ_nl).
-	for m := 0; m < M; m++ {
-		for n := 0; n < N; n++ {
-			p.SetObjectiveCoeff(yIdx(m, n), in.Mgmt[m][n])
-		}
-	}
-	for n := 0; n < N; n++ {
-		for l := 0; l < N; l++ {
-			p.SetObjectiveCoeff(thIdx(n, l), in.Omega*in.SyncConst[n][l])
-			for m := 0; m < M; m++ {
-				p.SetObjectiveCoeff(phIdx(n, l, m), in.Omega*in.Sync[n][l])
-			}
-		}
-	}
-	// Each client assigned to exactly one candidate.
-	for m := 0; m < M; m++ {
-		coeffs := map[int]float64{}
-		for n := 0; n < N; n++ {
-			coeffs[yIdx(m, n)] = 1
-		}
-		if err := p.AddConstraint(coeffs, lp.EQ, 1); err != nil {
-			return Plan{}, err
-		}
-	}
-	// y_mn <= x_n.
-	for m := 0; m < M; m++ {
-		for n := 0; n < N; n++ {
-			if err := p.AddConstraint(map[int]float64{yIdx(m, n): 1, xIdx(n): -1}, lp.LE, 0); err != nil {
-				return Plan{}, err
-			}
-		}
-	}
-	// ϑ_nl linearization (eq. 8). The diagonal collapses to ϑ_nn = x_n
-	// because x_n·x_n = x_n for binaries.
-	for n := 0; n < N; n++ {
-		for l := 0; l < N; l++ {
-			th := thIdx(n, l)
-			if n == l {
-				if err := p.AddConstraint(map[int]float64{th: 1, xIdx(n): -1}, lp.EQ, 0); err != nil {
-					return Plan{}, err
-				}
-				continue
-			}
-			if err := p.AddConstraint(map[int]float64{th: 1, xIdx(n): -1}, lp.LE, 0); err != nil {
-				return Plan{}, err
-			}
-			if err := p.AddConstraint(map[int]float64{th: 1, xIdx(l): -1}, lp.LE, 0); err != nil {
-				return Plan{}, err
-			}
-			if err := p.AddConstraint(map[int]float64{th: 1, xIdx(n): -1, xIdx(l): -1}, lp.GE, -1); err != nil {
-				return Plan{}, err
-			}
-		}
-	}
-	// φ_nlm linearization (eq. 9).
-	for n := 0; n < N; n++ {
-		for l := 0; l < N; l++ {
-			for m := 0; m < M; m++ {
-				ph := phIdx(n, l, m)
-				if err := p.AddConstraint(map[int]float64{ph: 1, thIdx(n, l): -1}, lp.LE, 0); err != nil {
-					return Plan{}, err
-				}
-				if err := p.AddConstraint(map[int]float64{ph: 1, yIdx(m, n): -1}, lp.LE, 0); err != nil {
-					return Plan{}, err
-				}
-				if err := p.AddConstraint(map[int]float64{ph: 1, thIdx(n, l): -1, yIdx(m, n): -1}, lp.GE, -1); err != nil {
-					return Plan{}, err
-				}
-			}
-		}
-	}
-	sol, err := p.Solve(milp.Options{MaxNodes: opts.MaxNodes})
-	if err != nil {
-		return Plan{}, err
-	}
-	if sol.Status != lp.Optimal {
-		return Plan{}, fmt.Errorf("placement: MILP solve ended with status %v", sol.Status)
-	}
-	placed := make([]bool, N)
-	for n := 0; n < N; n++ {
-		placed[n] = sol.X[xIdx(n)] > 0.5
-	}
-	// Re-evaluate through Lemma 1 for the canonical cost breakdown; the
-	// MILP's assignment is equal-cost by optimality.
-	return in.Evaluate(placed), nil
 }
 
 // infeasiblePenalty returns a large finite stand-in for f(∅) so the greedy
@@ -562,51 +425,4 @@ func (in *Instance) SolveDoubleGreedy(src *rng.Source) (Plan, error) {
 		x[bestN] = true
 	}
 	return e.plan(x), nil
-}
-
-// IsSupermodularUniform checks Definition 2 on the instance's set function
-// for all (A ⊆ B, i ∉ B) pairs over candidate subsets — exponential, so only
-// usable on tiny instances. Lemma 2 guarantees the property for uniform sync
-// costs δ; tests use this to validate both the lemma and Evaluate.
-func (in *Instance) IsSupermodularUniform() (bool, error) {
-	n := len(in.Candidates)
-	if n > 12 {
-		return false, fmt.Errorf("placement: supermodularity check limited to 12 candidates")
-	}
-	penalty := in.infeasiblePenalty()
-	e := newEvaluator(in)
-	placed := make([]bool, n)
-	f := func(mask int) float64 {
-		for i := 0; i < n; i++ {
-			placed[i] = mask&(1<<i) != 0
-		}
-		_, _, c, _ := e.cost(placed, nil)
-		if math.IsInf(c, 1) {
-			return penalty
-		}
-		return c
-	}
-	vals := make([]float64, 1<<n)
-	for mask := range vals {
-		vals[mask] = f(mask)
-	}
-	for a := 0; a < 1<<n; a++ {
-		for b := a; b < 1<<n; b++ {
-			if a&b != a { // A not subset of B
-				continue
-			}
-			for i := 0; i < n; i++ {
-				bit := 1 << i
-				if b&bit != 0 {
-					continue
-				}
-				da := vals[a|bit] - vals[a]
-				db := vals[b|bit] - vals[b]
-				if da > db+1e-9 {
-					return false, nil
-				}
-			}
-		}
-	}
-	return true, nil
 }

@@ -8,6 +8,8 @@ import (
 	"testing/quick"
 
 	"github.com/splicer-pcn/splicer/internal/graph"
+	"github.com/splicer-pcn/splicer/internal/lp"
+	"github.com/splicer-pcn/splicer/internal/milp"
 	"github.com/splicer-pcn/splicer/internal/rng"
 	"github.com/splicer-pcn/splicer/internal/topology"
 )
@@ -54,7 +56,7 @@ func randomInstance(src *rng.Source, numClients, numCands int, omega float64, un
 func graphInstance(t *testing.T, seed uint64, n, numCands int, omega float64) *Instance {
 	t.Helper()
 	src := rng.New(seed)
-	g, err := topology.WattsStrogatz(src, n, 4, 0.3, topology.UniformCapacity(100))
+	g, err := topology.WattsStrogatz(src, n, 4, 0.3, func() (float64, float64) { return 100, 100 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,17 +111,17 @@ func TestAssignLemma1(t *testing.T) {
 		SyncConst:  [][]float64{{0, 0}, {0, 0}},
 		Omega:      0,
 	}
-	assign := in.Assign([]bool{true, true})
+	assign := newEvaluator(in).plan([]bool{true, true}).Assign
 	if assign[0] != 0 || assign[1] != 1 {
 		t.Fatalf("assign = %v", assign)
 	}
 	// With a large omega, the sync burden is symmetric here so assignment
 	// is unchanged; but placing only candidate 1 forces both clients there.
-	assign = in.Assign([]bool{false, true})
+	assign = newEvaluator(in).plan([]bool{false, true}).Assign
 	if assign[0] != 1 || assign[1] != 1 {
 		t.Fatalf("assign = %v", assign)
 	}
-	if in.Assign([]bool{false, false}) != nil {
+	if newEvaluator(in).plan([]bool{false, false}).Assign != nil {
 		t.Fatal("empty placement must return nil assignment")
 	}
 }
@@ -139,7 +141,7 @@ func TestAssignConsidersSyncBurden(t *testing.T) {
 		SyncConst: [][]float64{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}},
 		Omega:     1,
 	}
-	assign := in.Assign([]bool{true, true, true})
+	assign := newEvaluator(in).plan([]bool{true, true, true}).Assign
 	if assign[0] != 1 {
 		t.Fatalf("assign = %v, want client at candidate 1", assign)
 	}
@@ -154,7 +156,7 @@ func TestEvaluateCostBreakdown(t *testing.T) {
 		SyncConst:  [][]float64{{0, 0.5}, {0.5, 0}},
 		Omega:      2,
 	}
-	plan := in.Evaluate([]bool{true, true})
+	plan := newEvaluator(in).plan([]bool{true, true})
 	// Assignment: burden_0 = burden_1 = 0.1; client0→cand0 (0.2+2*0.1 <
 	// 0.4+2*0.1), client1→cand1.
 	if plan.Assign[0] != 0 || plan.Assign[1] != 1 {
@@ -174,7 +176,7 @@ func TestEvaluateCostBreakdown(t *testing.T) {
 
 func TestEvaluateEmptyIsInfeasible(t *testing.T) {
 	in := randomInstance(rng.New(2), 4, 3, 0.5, false)
-	plan := in.Evaluate([]bool{false, false, false})
+	plan := newEvaluator(in).plan([]bool{false, false, false})
 	if !math.IsInf(plan.TotalCost, 1) || plan.Assign != nil {
 		t.Fatalf("empty placement: %+v", plan)
 	}
@@ -209,7 +211,7 @@ func TestMILPMatchesExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		milpPlan, err := in.SolveMILP(MILPOptions{})
+		milpPlan, err := solveMILP(in)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -222,7 +224,7 @@ func TestMILPMatchesExhaustive(t *testing.T) {
 
 func TestMILPRefusesHuge(t *testing.T) {
 	in := randomInstance(rng.New(5), 50, 10, 0.5, false)
-	if _, err := in.SolveMILP(MILPOptions{}); err == nil {
+	if _, err := solveMILP(in); err == nil {
 		t.Fatal("expected size refusal")
 	}
 }
@@ -239,7 +241,7 @@ func TestSupermodularUniformHolds(t *testing.T) {
 			}
 		}
 	}
-	ok, err := in.IsSupermodularUniform()
+	ok, err := isSupermodular(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +378,7 @@ func TestPropertyExhaustiveIsLowerBound(t *testing.T) {
 		if !any {
 			placed[0] = true
 		}
-		return in.Evaluate(placed).TotalCost >= exact.TotalCost-1e-9
+		return newEvaluator(in).plan(placed).TotalCost >= exact.TotalCost-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -582,10 +584,10 @@ func samePlan(t *testing.T, what string, got, want Plan) {
 func checkAgainstReference(t *testing.T, name string, in *Instance, placements [][]bool, exhaustive bool) {
 	t.Helper()
 	for _, placed := range placements {
-		if got, want := in.Assign(placed), referenceAssign(in, placed); !reflect.DeepEqual(got, want) {
+		if got, want := newEvaluator(in).plan(placed).Assign, referenceAssign(in, placed); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: Assign(%v) = %v, reference %v", name, placed, got, want)
 		}
-		samePlan(t, name+" Evaluate", in.Evaluate(placed), referenceEvaluate(in, placed))
+		samePlan(t, name+" Evaluate", newEvaluator(in).plan(placed), referenceEvaluate(in, placed))
 	}
 	solvers := []struct {
 		what      string
@@ -665,4 +667,167 @@ func TestSolveExhaustiveAllocsFlat(t *testing.T) {
 	if a8, a12 := allocs(8), allocs(12); a8 != a12 {
 		t.Fatalf("SolveExhaustive allocates %v times at 8 candidates, %v at 12", a8, a12)
 	}
+}
+
+// solveMILP builds the paper's linearized MILP (eqs. 6-10) and solves it
+// exactly with branch-and-bound. Variable layout:
+//
+//	x_n               n in [0,N)            — candidate placed
+//	y_mn              m in [0,M), n in [0,N) — client assignment
+//	ϑ_nl              n,l in [0,N)           — x_n·x_l linearization
+//	φ_nlm             n,l in [0,N), m in [0,M) — ϑ_nl·y_mn linearization
+//
+// The instance must be small: variables grow as N²·M.
+func solveMILP(in *Instance) (Plan, error) {
+	if err := in.Validate(); err != nil {
+		return Plan{}, err
+	}
+	M, N := len(in.Clients), len(in.Candidates)
+	numVars := N + M*N + N*N + N*N*M
+	if numVars > 4000 {
+		return Plan{}, fmt.Errorf("placement: MILP instance too large (%d variables); use SolveDoubleGreedy", numVars)
+	}
+	xIdx := func(n int) int { return n }
+	yIdx := func(m, n int) int { return N + m*N + n }
+	thIdx := func(n, l int) int { return N + M*N + n*N + l }
+	phIdx := func(n, l, m int) int { return N + M*N + N*N + (n*N+l)*M + m }
+
+	p := milp.NewProblem(numVars)
+	for i := 0; i < numVars; i++ {
+		if err := p.SetBinary(i); err != nil {
+			return Plan{}, err
+		}
+	}
+	// Objective: Σ ζ_mn y_mn + ω Σ_nl (Σ_m δ_nl φ_nlm + ε_nl ϑ_nl).
+	for m := 0; m < M; m++ {
+		for n := 0; n < N; n++ {
+			p.SetObjectiveCoeff(yIdx(m, n), in.Mgmt[m][n])
+		}
+	}
+	for n := 0; n < N; n++ {
+		for l := 0; l < N; l++ {
+			p.SetObjectiveCoeff(thIdx(n, l), in.Omega*in.SyncConst[n][l])
+			for m := 0; m < M; m++ {
+				p.SetObjectiveCoeff(phIdx(n, l, m), in.Omega*in.Sync[n][l])
+			}
+		}
+	}
+	// Each client assigned to exactly one candidate.
+	for m := 0; m < M; m++ {
+		coeffs := map[int]float64{}
+		for n := 0; n < N; n++ {
+			coeffs[yIdx(m, n)] = 1
+		}
+		if err := p.AddConstraint(coeffs, lp.EQ, 1); err != nil {
+			return Plan{}, err
+		}
+	}
+	// y_mn <= x_n.
+	for m := 0; m < M; m++ {
+		for n := 0; n < N; n++ {
+			if err := p.AddConstraint(map[int]float64{yIdx(m, n): 1, xIdx(n): -1}, lp.LE, 0); err != nil {
+				return Plan{}, err
+			}
+		}
+	}
+	// ϑ_nl linearization (eq. 8). The diagonal collapses to ϑ_nn = x_n
+	// because x_n·x_n = x_n for binaries.
+	for n := 0; n < N; n++ {
+		for l := 0; l < N; l++ {
+			th := thIdx(n, l)
+			if n == l {
+				if err := p.AddConstraint(map[int]float64{th: 1, xIdx(n): -1}, lp.EQ, 0); err != nil {
+					return Plan{}, err
+				}
+				continue
+			}
+			if err := p.AddConstraint(map[int]float64{th: 1, xIdx(n): -1}, lp.LE, 0); err != nil {
+				return Plan{}, err
+			}
+			if err := p.AddConstraint(map[int]float64{th: 1, xIdx(l): -1}, lp.LE, 0); err != nil {
+				return Plan{}, err
+			}
+			if err := p.AddConstraint(map[int]float64{th: 1, xIdx(n): -1, xIdx(l): -1}, lp.GE, -1); err != nil {
+				return Plan{}, err
+			}
+		}
+	}
+	// φ_nlm linearization (eq. 9).
+	for n := 0; n < N; n++ {
+		for l := 0; l < N; l++ {
+			for m := 0; m < M; m++ {
+				ph := phIdx(n, l, m)
+				if err := p.AddConstraint(map[int]float64{ph: 1, thIdx(n, l): -1}, lp.LE, 0); err != nil {
+					return Plan{}, err
+				}
+				if err := p.AddConstraint(map[int]float64{ph: 1, yIdx(m, n): -1}, lp.LE, 0); err != nil {
+					return Plan{}, err
+				}
+				if err := p.AddConstraint(map[int]float64{ph: 1, thIdx(n, l): -1, yIdx(m, n): -1}, lp.GE, -1); err != nil {
+					return Plan{}, err
+				}
+			}
+		}
+	}
+	sol, err := p.Solve(milp.Options{})
+	if err != nil {
+		return Plan{}, err
+	}
+	if sol.Status != lp.Optimal {
+		return Plan{}, fmt.Errorf("placement: MILP solve ended with status %v", sol.Status)
+	}
+	placed := make([]bool, N)
+	for n := 0; n < N; n++ {
+		placed[n] = sol.X[xIdx(n)] > 0.5
+	}
+	// Re-evaluate through Lemma 1 for the canonical cost breakdown; the
+	// MILP's assignment is equal-cost by optimality.
+	return newEvaluator(in).plan(placed), nil
+}
+
+// isSupermodular checks Definition 2 on the instance's set function for
+// all (A ⊆ B, i ∉ B) pairs over candidate subsets — exponential, so only
+// usable on tiny instances. Lemma 2 guarantees the property for uniform
+// sync costs δ.
+func isSupermodular(in *Instance) (bool, error) {
+	n := len(in.Candidates)
+	if n > 12 {
+		return false, fmt.Errorf("placement: supermodularity check limited to 12 candidates")
+	}
+	penalty := in.infeasiblePenalty()
+	e := newEvaluator(in)
+	placed := make([]bool, n)
+	f := func(mask int) float64 {
+		for i := 0; i < n; i++ {
+			placed[i] = mask&(1<<i) != 0
+		}
+		_, _, c, _ := e.cost(placed, nil)
+		if math.IsInf(c, 1) {
+			return penalty
+		}
+		return c
+	}
+	vals := make([]float64, 1<<n)
+	for mask := range vals {
+		vals[mask] = f(mask)
+	}
+	for a := 0; a < 1<<n; a++ {
+		for b := a; b < 1<<n; b++ {
+			if a&b != a { // A not subset of B
+				continue
+			}
+			for i := 0; i < n; i++ {
+				bit := 1 << i
+				if b&bit != 0 {
+					continue
+				}
+				da := vals[a|bit] - vals[a]
+				db := vals[b|bit] - vals[b]
+				if da > db+1e-9 {
+					return false, nil
+				}
+			}
+		}
+	}
+	return true, nil
 }

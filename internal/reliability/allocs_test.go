@@ -34,7 +34,6 @@ func TestReliabilityAllocs(t *testing.T) {
 		} else {
 			st.ObserveSuccess(e, now)
 		}
-		_ = st.Penalty(e, now)
 		i++
 	})
 	t.Logf("store_observe: %v allocs/observation (pin 0)", observe)
@@ -57,11 +56,11 @@ func TestReliabilityAllocs(t *testing.T) {
 	}
 	// Query past every exclusion window so the seeded failures penalize
 	// edges instead of disconnecting them.
-	now := 0.1 + penalized.Config().Exclusion + 1
+	now := 0.1 + penalized.cfg.Exclusion + 1
 	i, unreachable := 0, -1
 	overlay := testing.AllocsPerRun(500, func() {
 		s, d := graph.NodeID(i%n), graph.NodeID((i+n/2)%n)
-		if _, ok := pf.ShortestPath(s, d, penalized.Weight(now)); !ok && unreachable < 0 {
+		if _, ok := pf.ShortestPath(s, d, penalized.WeightAvoiding(now, -1)); !ok && unreachable < 0 {
 			unreachable = i
 		}
 		i++

@@ -10,11 +10,11 @@
 // Determinism contract: the Store is a pure fold over the observation
 // sequence (edge, time, outcome) — no clocks, no randomness, no maps with
 // iteration-order dependence. A Store that has never observed anything
-// returns graph.UnitWeight itself from Weight, so empty-store path queries
-// are bit-identical to PathFinder.UnitShortestPath; the retry layer in pcn
-// only consults the overlay after the first observation, and only when
-// armed, which is how the golden panels stay byte-identical with retries
-// off.
+// returns graph.UnitWeight itself from WeightAvoiding, so empty-store path
+// queries are bit-identical to PathFinder.UnitShortestPath; the retry layer
+// in pcn only consults the overlay after the first observation, and only
+// when armed, which is how the golden panels stay byte-identical with
+// retries off.
 //
 // A Store belongs to exactly one pcn.Network and is not goroutine-safe
 // (sweep workers each own a private network, matching the simulator's
@@ -135,15 +135,8 @@ func NewStore(cfg Config) *Store {
 	return s
 }
 
-// Config returns the store's (default-filled) configuration.
-func (s *Store) Config() Config { return s.cfg }
-
 // Stats returns the observation counters.
 func (s *Store) Stats() Stats { return s.stats }
-
-// Empty reports whether the store has never recorded an observation.
-// While true, Weight returns graph.UnitWeight itself.
-func (s *Store) Empty() bool { return !s.seen }
 
 func (s *Store) state(e graph.EdgeID) *edgeState {
 	if int(e) >= len(s.edges) {
@@ -193,36 +186,13 @@ func (s *Store) ObserveSuccess(e graph.EdgeID, now float64) {
 	s.stats.Successes++
 }
 
-// Penalty returns edge e's decayed penalty score at time now (0 for edges
-// never observed).
-func (s *Store) Penalty(e graph.EdgeID, now float64) float64 {
-	if int(e) >= len(s.edges) || e < 0 {
-		return 0
-	}
-	es := &s.edges[e]
-	es.decayTo(now, s.decayK)
-	return es.penalty
-}
-
-// Excluded reports whether edge e is inside its hard-exclusion window.
-func (s *Store) Excluded(e graph.EdgeID, now float64) bool {
-	if int(e) >= len(s.edges) || e < 0 {
-		return false
-	}
-	return now < s.edges[e].excludedUntil
-}
-
-// Weight returns the penalty-aware cost overlay for PathFinder queries at
-// time now: an edge inside its exclusion window costs +Inf (Dijkstra skips
-// it), every other edge costs 1 + PenaltyWeight·penalty. An empty store
+// WeightAvoiding returns the penalty-aware cost overlay for PathFinder
+// queries at time now: an edge inside its exclusion window costs +Inf
+// (Dijkstra skips it), every other edge costs 1 + PenaltyWeight·penalty,
+// and avoid — the hop a retry is routing around, or -1 — is excluded
+// whatever the store's state for it. An empty store with nothing to avoid
 // returns graph.UnitWeight itself, so the query is bit-identical to
 // PathFinder.UnitShortestPath — the pinned empty-store contract.
-func (s *Store) Weight(now float64) graph.WeightFunc {
-	return s.WeightAvoiding(now, -1)
-}
-
-// WeightAvoiding is Weight with one additional hard-excluded edge — the
-// hop a retry is routing around — regardless of the store's state for it.
 func (s *Store) WeightAvoiding(now float64, avoid graph.EdgeID) graph.WeightFunc {
 	if !s.seen && avoid < 0 {
 		return graph.UnitWeight

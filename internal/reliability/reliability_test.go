@@ -48,19 +48,23 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// penalty is edge e's decayed penalty at now, read back from the weight
+// the store's overlay gives it (1 + PenaltyWeight·penalty); +Inf while the
+// edge is excluded.
+func penalty(st *Store, e graph.EdgeID, now float64) float64 {
+	return (st.WeightAvoiding(now, -1)(graph.Edge{ID: e}, 0) - 1) / st.cfg.PenaltyWeight
+}
+
 func TestPenaltyDecay(t *testing.T) {
-	st := NewStore(NewConfig()) // half-life 2s
+	st := NewStore(NewConfig()) // half-life 2s, exclusion 0.5s
 	st.ObserveFailure(0, 0)
-	if p := st.Penalty(0, 0); p != 1 {
-		t.Fatalf("penalty right after failure = %v, want 1", p)
-	}
-	if p := st.Penalty(0, 2); math.Abs(p-0.5) > 1e-12 {
+	if p := penalty(st, 0, 2); math.Abs(p-0.5) > 1e-12 {
 		t.Fatalf("penalty one half-life later = %v, want 0.5", p)
 	}
-	if p := st.Penalty(0, 4); math.Abs(p-0.25) > 1e-12 {
+	if p := penalty(st, 0, 4); math.Abs(p-0.25) > 1e-12 {
 		t.Fatalf("penalty two half-lives later = %v, want 0.25", p)
 	}
-	if p := st.Penalty(99, 4); p != 0 {
+	if p := penalty(st, 99, 4); p != 0 {
 		t.Fatalf("never-observed edge penalty = %v, want 0", p)
 	}
 }
@@ -68,14 +72,8 @@ func TestPenaltyDecay(t *testing.T) {
 func TestExclusionWindow(t *testing.T) {
 	st := NewStore(NewConfig()) // exclusion 0.5s
 	st.ObserveFailure(3, 1)
-	if !st.Excluded(3, 1.4) {
-		t.Fatal("edge not excluded inside its window")
-	}
-	if st.Excluded(3, 1.6) {
-		t.Fatal("edge still excluded after its window")
-	}
 	// Inside the window the overlay prices the edge unroutable.
-	w := st.Weight(1.4)
+	w := st.WeightAvoiding(1.4, -1)
 	if c := w(graph.Edge{ID: 3}, 0); !math.IsInf(c, 1) {
 		t.Fatalf("excluded edge weight = %v, want +Inf", c)
 	}
@@ -83,7 +81,7 @@ func TestExclusionWindow(t *testing.T) {
 		t.Fatal("exclusion hit not counted")
 	}
 	// After the window it is penalized, not excluded.
-	if c := st.Weight(1.6)(graph.Edge{ID: 3}, 0); math.IsInf(c, 1) || c <= 1 {
+	if c := st.WeightAvoiding(1.6, -1)(graph.Edge{ID: 3}, 0); math.IsInf(c, 1) || c <= 1 {
 		t.Fatalf("post-window weight = %v, want finite > 1", c)
 	}
 }
@@ -92,11 +90,8 @@ func TestSuccessForgives(t *testing.T) {
 	st := NewStore(NewConfig())
 	st.ObserveFailure(5, 0)
 	st.ObserveSuccess(5, 0)
-	if p := st.Penalty(5, 0); math.Abs(p-0.5) > 1e-12 {
-		t.Fatalf("penalty after failure+success = %v, want 0.5", p)
-	}
-	if st.Excluded(5, 0.1) {
-		t.Fatal("success did not end the exclusion window")
+	if p := penalty(st, 5, 0); math.Abs(p-0.5) > 1e-12 {
+		t.Fatalf("penalty after failure+success = %v, want 0.5 (an excluded edge reads +Inf)", p)
 	}
 	want := Stats{Failures: 1, Successes: 1}
 	if got := st.Stats(); got != want {
@@ -109,13 +104,13 @@ func TestSuccessForgives(t *testing.T) {
 // path query through it is the same call the retry-less simulator makes.
 func TestEmptyStoreWeightIdentity(t *testing.T) {
 	st := NewStore(NewConfig())
-	w := st.Weight(3)
+	w := st.WeightAvoiding(3, -1)
 	if reflect.ValueOf(w).Pointer() != reflect.ValueOf(graph.WeightFunc(graph.UnitWeight)).Pointer() {
 		t.Fatal("empty store's Weight is not graph.UnitWeight itself")
 	}
 	g, _ := diamond(t)
 	pf := graph.NewPathFinder(g)
-	got, ok1 := pf.ShortestPath(0, 3, st.Weight(0))
+	got, ok1 := pf.ShortestPath(0, 3, st.WeightAvoiding(0, -1))
 	want, ok2 := pf.UnitShortestPath(0, 3)
 	if ok1 != ok2 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("empty-store query diverged: %+v vs %+v", got, want)
@@ -129,7 +124,7 @@ func TestPenaltySteersPath(t *testing.T) {
 	// Fail the 0-1 edge and query after the exclusion window: the penalty
 	// (1 + 4·p > 1) must push the route through 0-2-3.
 	st.ObserveFailure(ids[0], 0)
-	p, ok := pf.ShortestPath(0, 3, st.Weight(1))
+	p, ok := pf.ShortestPath(0, 3, st.WeightAvoiding(1, -1))
 	if !ok {
 		t.Fatal("0->3 unreachable")
 	}
@@ -174,11 +169,8 @@ func TestDeterministicFold(t *testing.T) {
 	}
 	a, b := build(), build()
 	for e := graph.EdgeID(0); e < 17; e++ {
-		if pa, pb := a.Penalty(e, 7), b.Penalty(e, 7); pa != pb {
+		if pa, pb := penalty(a, e, 7), penalty(b, e, 7); pa != pb {
 			t.Fatalf("edge %d penalty diverged: %v vs %v", e, pa, pb)
-		}
-		if xa, xb := a.Excluded(e, 7), b.Excluded(e, 7); xa != xb {
-			t.Fatalf("edge %d exclusion diverged", e)
 		}
 	}
 	if a.Stats() != b.Stats() {

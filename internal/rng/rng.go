@@ -48,9 +48,6 @@ func (s *Source) IntN(n int) int { return s.r.IntN(n) }
 // Uint64 returns a uniform 64-bit value.
 func (s *Source) Uint64() uint64 { return s.r.Uint64() }
 
-// NormFloat64 returns a standard normal variate.
-func (s *Source) NormFloat64() float64 { return s.r.NormFloat64() }
-
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool { return s.r.Float64() < p }
 
@@ -82,36 +79,6 @@ func (s *Source) Pareto(xm, alpha float64) float64 {
 	}
 	u := 1 - s.r.Float64() // in (0, 1]
 	return xm / math.Pow(u, 1/alpha)
-}
-
-// Poisson returns a Poisson variate with the given mean. For large means it
-// uses the normal approximation, which is accurate enough for workload
-// arrival counts.
-func (s *Source) Poisson(mean float64) int {
-	if mean < 0 {
-		panic("rng: Poisson mean must be non-negative")
-	}
-	if mean == 0 {
-		return 0
-	}
-	if mean > 500 {
-		v := mean + math.Sqrt(mean)*s.r.NormFloat64()
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	// Knuth's algorithm.
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= s.r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
 }
 
 // Zipf draws integers in [0, n) with probability proportional to
@@ -156,6 +123,3 @@ func (z *Zipf) Next() int {
 	}
 	return lo
 }
-
-// N returns the number of ranks the sampler draws from.
-func (z *Zipf) N() int { return len(z.cum) }

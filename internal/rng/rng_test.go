@@ -109,27 +109,6 @@ func TestParetoMinimumAndTail(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	s := New(17)
-	for _, mean := range []float64{0.5, 4, 40, 800} {
-		const n = 20000
-		sum := 0
-		for i := 0; i < n; i++ {
-			sum += s.Poisson(mean)
-		}
-		got := float64(sum) / n
-		if math.Abs(got-mean) > 0.05*mean+0.05 {
-			t.Fatalf("Poisson(%v) sample mean = %v", mean, got)
-		}
-	}
-}
-
-func TestPoissonZeroMean(t *testing.T) {
-	if got := New(1).Poisson(0); got != 0 {
-		t.Fatalf("Poisson(0) = %d, want 0", got)
-	}
-}
-
 func TestZipfUniformWhenSkewZero(t *testing.T) {
 	s := New(19)
 	z := NewZipf(s, 10, 0)

@@ -60,19 +60,12 @@ func PathTypeByName(name string) (PathType, error) {
 	}
 }
 
-// SelectPaths computes up to k paths from src to dst under the given
-// strategy. It may return fewer (or zero) paths on sparse graphs. Callers
-// issuing repeated queries should use SelectPathsWith with a shared
-// PathFinder.
-func SelectPaths(g *graph.Graph, src, dst graph.NodeID, k int, pt PathType) ([]graph.Path, error) {
-	return SelectPathsWith(graph.NewPathFinder(g), src, dst, k, pt)
-}
-
-// SelectPathsWith is SelectPaths running on the caller's PathFinder scratch
-// state, so repeated selections (one per sender-recipient pair on a large
-// network) reuse the Dijkstra buffers. All four path types run entirely on
-// the finder; EDW masks extracted paths through the finder's stamped edge
-// set, so no per-call graph clone is built.
+// SelectPathsWith computes up to k paths from src to dst under the given
+// strategy on the caller's PathFinder scratch state, so repeated selections
+// (one per sender-recipient pair on a large network) reuse the Dijkstra
+// buffers. It may return fewer (or zero) paths on sparse graphs. All four
+// path types run entirely on the finder; EDW masks extracted paths through
+// the finder's stamped edge set, so no per-call graph clone is built.
 func SelectPathsWith(pf *graph.PathFinder, src, dst graph.NodeID, k int, pt PathType) ([]graph.Path, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("routing: k must be positive, got %d", k)
@@ -190,15 +183,6 @@ func NewRateController(k int, alpha, beta, gamma, initRate, initWindow float64) 
 // NumPaths returns the number of controlled paths.
 func (rc *RateController) NumPaths() int { return len(rc.rates) }
 
-// Rate returns the current sending rate of path i.
-func (rc *RateController) Rate(i int) float64 { return rc.rates[i] }
-
-// Window returns the current window of path i.
-func (rc *RateController) Window(i int) float64 { return rc.windows[i] }
-
-// Inflight returns the number of unfinished TUs on path i.
-func (rc *RateController) Inflight(i int) int { return rc.inflight[i] }
-
 // TotalRate returns Σ_p r_p, the pair's aggregate rate.
 func (rc *RateController) TotalRate() float64 {
 	total := 0.0
@@ -256,9 +240,6 @@ func (rc *RateController) RefillBudget(i int, tau float64) {
 	}
 	rc.budget[i] = b
 }
-
-// Budget returns the remaining sending budget of path i.
-func (rc *RateController) Budget(i int) float64 { return rc.budget[i] }
 
 // CanSend reports whether path i has window room and budget for a TU of
 // the given value.

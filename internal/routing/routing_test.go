@@ -12,7 +12,7 @@ import (
 
 func testGraph(t *testing.T) *graph.Graph {
 	t.Helper()
-	g, err := topology.WattsStrogatz(rng.New(5), 40, 4, 0.3, topology.UniformCapacity(100))
+	g, err := topology.WattsStrogatz(rng.New(5), 40, 4, 0.3, func() (float64, float64) { return 100, 100 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func testGraph(t *testing.T) *graph.Graph {
 func TestSelectPathsAllTypes(t *testing.T) {
 	g := testGraph(t)
 	for _, pt := range []PathType{KSP, Heuristic, EDW, EDS} {
-		paths, err := SelectPaths(g, 0, 20, 3, pt)
+		paths, err := SelectPathsWith(graph.NewPathFinder(g), 0, 20, 3, pt)
 		if err != nil {
 			t.Fatalf("%v: %v", pt, err)
 		}
@@ -43,7 +43,7 @@ func TestSelectPathsAllTypes(t *testing.T) {
 func TestSelectPathsEdgeDisjointness(t *testing.T) {
 	g := testGraph(t)
 	for _, pt := range []PathType{EDW, EDS} {
-		paths, err := SelectPaths(g, 0, 20, 5, pt)
+		paths, err := SelectPathsWith(graph.NewPathFinder(g), 0, 20, 5, pt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,10 +61,10 @@ func TestSelectPathsEdgeDisjointness(t *testing.T) {
 
 func TestSelectPathsValidation(t *testing.T) {
 	g := testGraph(t)
-	if _, err := SelectPaths(g, 0, 1, 0, EDW); err == nil {
+	if _, err := SelectPathsWith(graph.NewPathFinder(g), 0, 1, 0, EDW); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := SelectPaths(g, 0, 1, 3, PathType(99)); err == nil {
+	if _, err := SelectPathsWith(graph.NewPathFinder(g), 0, 1, 3, PathType(99)); err == nil {
 		t.Fatal("bogus path type accepted")
 	}
 }
@@ -197,27 +197,27 @@ func TestRateControllerValidation(t *testing.T) {
 
 func TestRateRisesWhenCheap(t *testing.T) {
 	rc := newRC(t, 2)
-	r0 := rc.Rate(0)
+	r0 := rc.rates[0]
 	// Price below U'(r) = 1/2: rate must rise.
 	rc.UpdateRate(0, 0)
-	if rc.Rate(0) <= r0 {
+	if rc.rates[0] <= r0 {
 		t.Fatal("rate did not rise on zero price")
 	}
 }
 
 func TestRateFallsWhenExpensive(t *testing.T) {
 	rc := newRC(t, 2)
-	r0 := rc.Rate(0)
+	r0 := rc.rates[0]
 	rc.UpdateRate(0, 100)
-	if rc.Rate(0) >= r0 {
+	if rc.rates[0] >= r0 {
 		t.Fatal("rate did not fall on high price")
 	}
 	// Rate never falls below MinRate.
 	for i := 0; i < 1000; i++ {
 		rc.UpdateRate(0, 100)
 	}
-	if rc.Rate(0) < rc.MinRate {
-		t.Fatalf("rate %v below floor %v", rc.Rate(0), rc.MinRate)
+	if rc.rates[0] < rc.MinRate {
+		t.Fatalf("rate %v below floor %v", rc.rates[0], rc.MinRate)
 	}
 }
 
@@ -225,33 +225,33 @@ func TestRateEquilibrium(t *testing.T) {
 	// At price exactly U'(r) the rate is stationary.
 	rc := newRC(t, 1)
 	price := 1 / rc.TotalRate()
-	r0 := rc.Rate(0)
+	r0 := rc.rates[0]
 	rc.UpdateRate(0, price)
-	if math.Abs(rc.Rate(0)-r0) > 1e-12 {
-		t.Fatalf("rate moved at equilibrium: %v -> %v", r0, rc.Rate(0))
+	if math.Abs(rc.rates[0]-r0) > 1e-12 {
+		t.Fatalf("rate moved at equilibrium: %v -> %v", r0, rc.rates[0])
 	}
 }
 
 func TestWindowDynamics(t *testing.T) {
 	rc := newRC(t, 2)
-	w0 := rc.Window(0)
+	w0 := rc.windows[0]
 	rc.OnSend(0, 1)
 	rc.OnSuccess(0)
-	if rc.Window(0) <= w0 {
+	if rc.windows[0] <= w0 {
 		t.Fatal("window did not grow on success")
 	}
-	w1 := rc.Window(0)
+	w1 := rc.windows[0]
 	rc.OnSend(0, 1)
 	rc.OnAbort(0)
-	if rc.Window(0) >= w1 {
+	if rc.windows[0] >= w1 {
 		t.Fatal("window did not shrink on abort")
 	}
 	for i := 0; i < 100; i++ {
 		rc.OnSend(0, 1)
 		rc.OnAbort(0)
 	}
-	if rc.Window(0) < rc.MinWindow {
-		t.Fatalf("window %v below floor", rc.Window(0))
+	if rc.windows[0] < rc.MinWindow {
+		t.Fatalf("window %v below floor", rc.windows[0])
 	}
 }
 
@@ -297,8 +297,8 @@ func TestPickPathPrefersFastEmptyPath(t *testing.T) {
 func TestInflightNeverNegative(t *testing.T) {
 	rc := newRC(t, 1)
 	rc.OnSuccess(0) // completion without send
-	if rc.Inflight(0) != 0 {
-		t.Fatalf("inflight = %d", rc.Inflight(0))
+	if rc.inflight[0] != 0 {
+		t.Fatalf("inflight = %d", rc.inflight[0])
 	}
 }
 

@@ -24,9 +24,11 @@ func newFinderTailLandmark(t *testing.T) *finderTailLandmark {
 	t.Helper()
 	// The registered policy is reachable only through a network built with
 	// it; its Setup runs again on the network under test.
-	g, err := topology.Star(4, topology.UniformCapacity(1))
-	if err != nil {
-		t.Fatal(err)
+	g := graph.New(3)
+	for _, e := range [][2]graph.NodeID{{0, 1}, {1, 2}} {
+		if _, err := g.AddEdge(e[0], e[1], 1, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
 	n, err := pcn.NewNetwork(g, pcn.NewConfig(pcn.SchemeLandmark))
 	if err != nil {

@@ -141,14 +141,18 @@ func TestFigBalanceCostApproxNearOptimal(t *testing.T) {
 	if len(series) != 2 {
 		t.Fatalf("expected model+optimal, got %d series", len(series))
 	}
-	if gap := MeanGap(series[0], series[1]); math.IsNaN(gap) || gap > 0.5 {
-		t.Fatalf("approximation gap %v too large", gap)
-	}
-	for i := range series[1].Points {
-		if series[0].Points[i].Y < series[1].Points[i].Y-1e-9 {
-			t.Fatalf("approximation %v below the optimum %v at ω=%v",
-				series[0].Points[i].Y, series[1].Points[i].Y, series[1].Points[i].X)
+	gap := 0.0 // mean relative gap over the ω points
+	for i, opt := range series[1].Points {
+		approx := series[0].Points[i].Y
+		if approx < opt.Y-1e-9 {
+			t.Fatalf("approximation %v below the optimum %v at ω=%v", approx, opt.Y, opt.X)
 		}
+		if opt.Y != 0 {
+			gap += math.Abs(approx-opt.Y) / math.Abs(opt.Y) / float64(len(series[1].Points))
+		}
+	}
+	if len(series[1].Points) == 0 || gap > 0.5 {
+		t.Fatalf("approximation gap %v too large over %d points", gap, len(series[1].Points))
 	}
 }
 

@@ -5,7 +5,6 @@ package scenario
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/splicer-pcn/splicer/internal/graph"
 	"github.com/splicer-pcn/splicer/internal/pcn"
@@ -267,25 +266,4 @@ func meanPairwiseHops(g *graph.Graph, src *rng.Source, samples int) (float64, er
 		return 0, fmt.Errorf("scenario: no connected samples")
 	}
 	return total / float64(count), nil
-}
-
-// MeanGap returns the mean relative gap between two series sharing X values;
-// tests use it to quantify approximation quality in Fig. 9(a).
-func MeanGap(a, b Series) float64 {
-	n := len(a.Points)
-	if len(b.Points) < n {
-		n = len(b.Points)
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	total := 0.0
-	for i := 0; i < n; i++ {
-		ref := b.Points[i].Y
-		if ref == 0 {
-			continue
-		}
-		total += math.Abs(a.Points[i].Y-ref) / math.Abs(ref)
-	}
-	return total / float64(n)
 }

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -118,24 +119,35 @@ func TestStatsReliabilityKeys(t *testing.T) {
 	}
 }
 
-// TestLoadGenUnderStall is the satellite's degradation measurement in
-// miniature: the load generator against a stalled pool still makes forward
-// progress (bounded throughput, not a wedge) and reports any shed queries.
-func TestLoadGenUnderStall(t *testing.T) {
+// TestRouteUnderStall: eight clients against a stalled two-worker pool
+// still make forward progress (bounded throughput, not a wedge), and every
+// shed query is accounted: the clients' ErrSaturated count and the
+// server's agree.
+func TestRouteUnderStall(t *testing.T) {
 	n := testNetwork(t, 24, 40)
 	s := NewServer(n, Options{Workers: 2, QueueDepth: 2, StallDelay: 2 * time.Millisecond})
 	defer s.Shutdown(context.Background())
-	st := LoadGen(context.Background(), s, LoadGenConfig{
-		Clients:  8,
-		Duration: 150 * time.Millisecond,
-		Seed:     2,
-	})
-	if st.Requests == 0 {
-		t.Fatalf("stalled pool made no progress: %+v", st)
+	ok, shed := routeLoad(t, s, 40, 8, 10, 1)
+	if ok == 0 {
+		t.Fatal("stalled pool made no progress")
 	}
-	// Shed queries (if any) must be accounted, not silently dropped: the
-	// loadgen's saturation counter and the server's must agree.
-	if st.Saturated != s.Stats().Saturated {
-		t.Fatalf("loadgen saw %d sheds, server counted %d", st.Saturated, s.Stats().Saturated)
+	t.Logf("%d answered, %d shed", ok, shed)
+	if got := s.Stats().Saturated; uint64(shed) != got {
+		t.Fatalf("clients saw %d sheds, server counted %d", shed, got)
+	}
+}
+
+// TestWriteJSONRefusesUnencodable: a response encoding/json cannot write
+// (here a NaN) is a 500 with a JSON error body, never a 200 with an empty
+// body.
+func TestWriteJSONRefusesUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, map[string]float64{"bottleneck": math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500; body %q", rec.Code, rec.Body.String())
+	}
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body["error"] == "" {
+		t.Fatalf("body %q is not a JSON error (%v)", rec.Body.String(), err)
 	}
 }

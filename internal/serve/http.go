@@ -6,6 +6,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -192,12 +193,17 @@ func statusFor(err error) int {
 	return http.StatusBadRequest
 }
 
+// writeJSON answers 200 with v as JSON. It encodes into a buffer first, so
+// a value encoding/json refuses (a NaN or ±Inf float) is answered with a
+// 500 and a JSON error, not with a 200 and an empty body.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers are gone; nothing useful left to do.
-		_ = err
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		httpError(w, http.StatusInternalServerError, fmt.Errorf("serve: encoding the response: %w", err))
+		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(buf.Bytes()) // a failed write means the client is gone
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {

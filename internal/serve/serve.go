@@ -183,9 +183,6 @@ func NewServer(net *pcn.Network, opts Options) *Server {
 	return s
 }
 
-// Network returns the wrapped network (for the writer side and stats).
-func (s *Server) Network() *pcn.Network { return s.net }
-
 // Snapshots returns the epoch store workers read from.
 func (s *Server) Snapshots() *graph.SnapshotStore { return s.store }
 

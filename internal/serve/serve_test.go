@@ -493,20 +493,66 @@ func TestRequestWorkIsBounded(t *testing.T) {
 	}
 }
 
-func TestLoadGenSmoke(t *testing.T) {
+// routeLoad sends perClient route queries from each of clients goroutines
+// straight to s.Route, with seeded uniform endpoints (dst != src) over
+// nodes, and counts the answers and the ErrSaturated sheds. Any other error
+// fails the test.
+func routeLoad(t *testing.T, s *Server, nodes, clients, perClient, k int) (answered, shed int64) {
+	var ok, sat atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(rng *rand.Rand) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				src := graph.NodeID(rng.Intn(nodes))
+				dst := graph.NodeID(rng.Intn(nodes - 1))
+				if dst >= src {
+					dst++
+				}
+				_, err := s.Route(context.Background(), RouteRequest{Src: src, Dst: dst, K: k})
+				switch {
+				case err == nil:
+					ok.Add(1)
+				case errors.Is(err, ErrSaturated):
+					sat.Add(1)
+				default:
+					t.Errorf("route %d->%d: %v", src, dst, err)
+				}
+			}
+		}(rand.New(rand.NewSource(int64(c) + 1)))
+	}
+	wg.Wait()
+	return ok.Load(), sat.Load()
+}
+
+// TestRouteConcurrentSmoke: two clients on two workers get every query
+// answered on a static topology.
+func TestRouteConcurrentSmoke(t *testing.T) {
 	n := testNetwork(t, 18, 60)
 	s := NewServer(n, Options{Workers: 2})
 	defer s.Shutdown(context.Background())
-	st := LoadGen(context.Background(), s, LoadGenConfig{
-		Clients:  2,
-		Duration: 100 * time.Millisecond,
-		K:        2,
-		Seed:     1,
-	})
-	if st.Requests == 0 || st.RoutesPerSec <= 0 {
-		t.Fatalf("loadgen produced no throughput: %+v", st)
+	if ok, shed := routeLoad(t, s, 60, 2, 50, 2); ok != 100 || shed != 0 {
+		t.Fatalf("%d of 100 queries answered, %d shed", ok, shed)
 	}
-	if st.Errors != 0 {
-		t.Fatalf("loadgen errors on a static topology: %+v", st)
+}
+
+// TestRouteTinyGraph: on the smallest network the simulator admits (3
+// nodes) every query is a real path computation and none errs.
+func TestRouteTinyGraph(t *testing.T) {
+	g := graph.New(3)
+	for _, e := range [][2]graph.NodeID{{0, 1}, {1, 2}} {
+		if _, err := g.AddEdge(e[0], e[1], 100, 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, err := pcn.NewNetwork(g, pcn.NewConfig(pcn.SchemeShortestPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(n, Options{Workers: 1})
+	defer s.Shutdown(context.Background())
+	if ok, shed := routeLoad(t, s, 3, 1, 50, 1); ok != 50 || shed != 0 {
+		t.Fatalf("%d of 50 queries answered, %d shed", ok, shed)
 	}
 }

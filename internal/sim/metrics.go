@@ -5,19 +5,11 @@ import (
 	"sort"
 )
 
-// sampleCap bounds the per-histogram sample memory. Up to sampleCap
-// observations the store is exact (Quantile matches the unbounded store
-// byte-for-byte); past it, a deterministic reservoir (Vitter's algorithm R
-// on a seeded xorshift stream) keeps a uniform sample, so memory stays O(1)
-// per metric on arbitrarily long runs. Mean and Count are streaming and
-// stay exact at any length.
-const sampleCap = 4096
-
 // CounterHandle is an interned counter: Add via handle is an array index
 // instead of a string hash, which is what the per-hop payment path wants.
 type CounterHandle int32
 
-// SampleHandle is an interned histogram, the Observe counterpart of
+// SampleHandle is an interned histogram, the ObserveHandle counterpart of
 // CounterHandle.
 type SampleHandle int32
 
@@ -26,16 +18,11 @@ type counter struct {
 	value float64
 }
 
+// sampleStore keeps what Mean reads: a histogram is streamed, never stored.
 type sampleStore struct {
 	name  string
-	count int64   // total observations (not just retained ones)
+	count int64
 	sum   float64 // running sum in observation order; Mean = sum/count
-	buf   []float64
-	rng   uint64 // xorshift64 state, seeded from the metric name
-	// sorted caches a sorted copy of buf for Quantile; Observe invalidates
-	// it, so figure code calling Quantile per scheme × metric sorts once.
-	sorted   []float64
-	sortedOK bool
 }
 
 // Metrics collects counters and histograms for an experiment run. The zero
@@ -73,7 +60,7 @@ func (m *Metrics) SampleHandle(name string) SampleHandle {
 		return h
 	}
 	h := SampleHandle(len(m.samples))
-	m.samples = append(m.samples, sampleStore{name: name, rng: seedFor(name)})
+	m.samples = append(m.samples, sampleStore{name: name})
 	m.sampleIdx[name] = h
 	return h
 }
@@ -81,26 +68,11 @@ func (m *Metrics) SampleHandle(name string) SampleHandle {
 // AddHandle increments an interned counter by v.
 func (m *Metrics) AddHandle(h CounterHandle, v float64) { m.counters[h].value += v }
 
-// ObserveHandle appends one sample to an interned histogram.
+// ObserveHandle records one sample of an interned histogram.
 func (m *Metrics) ObserveHandle(h SampleHandle, v float64) {
 	s := &m.samples[h]
 	s.count++
 	s.sum += v
-	s.sortedOK = false
-	if len(s.buf) < sampleCap {
-		s.buf = append(s.buf, v)
-		return
-	}
-	// Algorithm R: replace a uniformly random retained sample with
-	// probability sampleCap/count. The xorshift stream depends only on the
-	// metric name and the observation sequence, so runs are reproducible
-	// and worker-count invariant.
-	s.rng ^= s.rng << 13
-	s.rng ^= s.rng >> 7
-	s.rng ^= s.rng << 17
-	if j := s.rng % uint64(s.count); j < sampleCap {
-		s.buf[j] = v
-	}
 }
 
 // Add increments counter name by v.
@@ -114,34 +86,8 @@ func (m *Metrics) Counter(name string) float64 {
 	return 0
 }
 
-// Observe appends one sample to histogram name.
-func (m *Metrics) Observe(name string, v float64) { m.ObserveHandle(m.SampleHandle(name), v) }
-
-// Quantile returns the q-quantile (0..1) of histogram name, or NaN when
-// empty. Exact while the histogram holds at most sampleCap observations
-// (the common case for per-run delay metrics); beyond that it is the
-// quantile of the retained uniform reservoir.
-func (m *Metrics) Quantile(name string, q float64) float64 {
-	h, ok := m.sampleIdx[name]
-	if !ok {
-		return math.NaN()
-	}
-	s := &m.samples[h]
-	if len(s.buf) == 0 {
-		return math.NaN()
-	}
-	if !s.sortedOK {
-		s.sorted = append(s.sorted[:0], s.buf...)
-		sort.Float64s(s.sorted)
-		s.sortedOK = true
-	}
-	idx := int(q * float64(len(s.sorted)-1))
-	return s.sorted[idx]
-}
-
-// Mean returns the mean of histogram name, or NaN when empty. Streaming
-// and exact: the sum accumulates in observation order, matching the former
-// sum-over-slice result bit for bit.
+// Mean returns the mean of histogram name, or NaN when empty. The sum
+// accumulates in observation order, so it is exact and reproducible.
 func (m *Metrics) Mean(name string) float64 {
 	h, ok := m.sampleIdx[name]
 	if !ok {
@@ -154,15 +100,6 @@ func (m *Metrics) Mean(name string) float64 {
 	return s.sum / float64(s.count)
 }
 
-// Count returns the number of samples observed for name (all observations,
-// including those no longer retained by the reservoir).
-func (m *Metrics) Count(name string) int {
-	if h, ok := m.sampleIdx[name]; ok {
-		return int(m.samples[h].count)
-	}
-	return 0
-}
-
 // CounterNames returns the sorted counter names (for reporting). Interned
 // but never-incremented counters are included at value 0.
 func (m *Metrics) CounterNames() []string {
@@ -172,19 +109,4 @@ func (m *Metrics) CounterNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// seedFor derives a nonzero per-metric xorshift seed from the name
-// (FNV-1a), so reservoir decisions depend only on the metric and its
-// observation sequence — never on registry order or map iteration.
-func seedFor(name string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	if h == 0 {
-		h = 1
-	}
-	return h
 }

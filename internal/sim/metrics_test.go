@@ -1,137 +1,24 @@
 package sim
 
-import (
-	"math"
-	"sort"
-	"testing"
-)
+import "testing"
 
-// TestQuantileCachedSortInvalidation is the satellite fix: Quantile must
-// not re-sort per call, and the cache must invalidate on Observe.
-func TestQuantileCachedSortInvalidation(t *testing.T) {
-	m := NewMetrics()
-	for _, v := range []float64{9, 1, 5, 3, 7} {
-		m.Observe("d", v)
-	}
-	if q := m.Quantile("d", 0.5); q != 5 {
-		t.Fatalf("median = %v", q)
-	}
-	// Cached: repeated calls agree.
-	if q := m.Quantile("d", 0.5); q != 5 {
-		t.Fatalf("cached median = %v", q)
-	}
-	// New observation must invalidate the cached order.
-	m.Observe("d", 0)
-	if q := m.Quantile("d", 0); q != 0 {
-		t.Fatalf("min after invalidation = %v, want 0", q)
-	}
-	if q := m.Quantile("d", 1); q != 9 {
-		t.Fatalf("max after invalidation = %v, want 9", q)
-	}
-}
-
-// TestQuantileDoesNotPerturbState: Quantile is read-only — interleaving
-// calls must not change what later Observes/Quantiles see (the sorted view
-// is a cache, not the canonical sample order).
-func TestQuantileDoesNotPerturbState(t *testing.T) {
-	a, b := NewMetrics(), NewMetrics()
-	vals := []float64{5, 2, 8, 1, 9, 3}
-	for i, v := range vals {
-		a.Observe("x", v)
-		b.Observe("x", v)
-		if i%2 == 0 {
-			a.Quantile("x", 0.5) // a interleaves reads; b does not
-		}
-	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		if a.Quantile("x", q) != b.Quantile("x", q) {
-			t.Fatalf("q=%v: %v vs %v", q, a.Quantile("x", q), b.Quantile("x", q))
-		}
-	}
-	if a.Mean("x") != b.Mean("x") || a.Count("x") != b.Count("x") {
-		t.Fatal("mean/count diverged")
-	}
-}
-
-// TestMeanExactUnderBounding: Mean and Count stay exact past the sample
-// cap (streaming sum/count, not reservoir-based).
+// TestMeanExactUnderBounding: Mean stays exact over a long stream: the sum
+// accumulates in observation order.
 func TestMeanExactUnderBounding(t *testing.T) {
 	m := NewMetrics()
-	n := sampleCap * 3
+	h := m.SampleHandle("d")
+	n := 3 * 4096
 	sum := 0.0
 	for i := 0; i < n; i++ {
 		v := float64(i%97) * 0.25
-		m.Observe("d", v)
+		m.ObserveHandle(h, v)
 		sum += v
 	}
 	if got, want := m.Mean("d"), sum/float64(n); got != want {
 		t.Fatalf("mean = %v, want exactly %v", got, want)
 	}
-	if m.Count("d") != n {
-		t.Fatalf("count = %d, want %d", m.Count("d"), n)
-	}
-}
-
-// TestBoundedMemoryAndQuantileTolerance: the retained sample set stays at
-// sampleCap and quantiles remain close to the true distribution.
-func TestBoundedMemoryAndQuantileTolerance(t *testing.T) {
-	m := NewMetrics()
-	h := m.SampleHandle("d")
-	n := sampleCap * 8
-	for i := 0; i < n; i++ {
-		// Uniform-ish deterministic stream over [0, 1000).
-		m.ObserveHandle(h, float64((i*7919)%1000))
-	}
-	if got := len(m.samples[h].buf); got != sampleCap {
-		t.Fatalf("retained %d samples, want %d", got, sampleCap)
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9} {
-		got := m.Quantile("d", q)
-		want := q * 1000
-		if math.Abs(got-want) > 50 { // reservoir tolerance
-			t.Fatalf("q=%v: got %v, want ~%v", q, got, want)
-		}
-	}
-}
-
-// TestReservoirDeterministic: the reservoir depends only on the metric
-// name and the observation sequence — two registries fed identically agree
-// exactly, regardless of unrelated metrics registered around them.
-func TestReservoirDeterministic(t *testing.T) {
-	a, b := NewMetrics(), NewMetrics()
-	b.Observe("unrelated", 1) // registry order must not matter
-	for i := 0; i < sampleCap*4; i++ {
-		v := float64((i * 31) % 1009)
-		a.Observe("d", v)
-		b.Observe("d", v)
-	}
-	ha, _ := a.sampleIdx["d"]
-	hb, _ := b.sampleIdx["d"]
-	if len(a.samples[ha].buf) != len(b.samples[hb].buf) {
-		t.Fatal("retained counts differ")
-	}
-	for i := range a.samples[ha].buf {
-		if a.samples[ha].buf[i] != b.samples[hb].buf[i] {
-			t.Fatalf("reservoir diverges at %d", i)
-		}
-	}
-}
-
-// TestQuantileExactWithinCap pins the pre-cap behavior to the former
-// sort-the-whole-slice implementation.
-func TestQuantileExactWithinCap(t *testing.T) {
-	m := NewMetrics()
-	vals := []float64{13, 2, 8, 21, 1, 34, 5, 3, 1, 55}
-	for _, v := range vals {
-		m.Observe("d", v)
-	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	for _, q := range []float64{0, 0.1, 0.33, 0.5, 0.9, 1} {
-		want := sorted[int(q*float64(len(sorted)-1))]
-		if got := m.Quantile("d", q); got != want {
-			t.Fatalf("q=%v: got %v want %v", q, got, want)
-		}
+	if got := m.samples[h].count; got != int64(n) {
+		t.Fatalf("count = %d, want %d", got, n)
 	}
 }
 
@@ -147,9 +34,9 @@ func TestHandleStringEquivalence(t *testing.T) {
 	}
 	s := m.SampleHandle("delay")
 	m.ObserveHandle(s, 1)
-	m.Observe("delay", 3)
-	if m.Count("delay") != 2 || m.Mean("delay") != 2 {
-		t.Fatalf("count=%d mean=%v", m.Count("delay"), m.Mean("delay"))
+	m.ObserveHandle(m.SampleHandle("delay"), 3)
+	if m.Mean("delay") != 2 {
+		t.Fatalf("mean=%v", m.Mean("delay"))
 	}
 	// Handles are stable: re-interning returns the same index.
 	if m.CounterHandle("sent") != c || m.SampleHandle("delay") != s {

@@ -71,9 +71,10 @@ func TestZeroEventCancel(t *testing.T) {
 func TestCanceledEventsCompacted(t *testing.T) {
 	e := NewEngine()
 	const n = 10000
+	ran := 0
 	events := make([]Event, 0, n)
 	for i := 0; i < n; i++ {
-		ev, err := e.Schedule(1e6+float64(i), 0, func() {})
+		ev, err := e.Schedule(1e6+float64(i), 0, func() { ran++ })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,24 +83,23 @@ func TestCanceledEventsCompacted(t *testing.T) {
 	for _, ev := range events[:n-10] {
 		ev.Cancel()
 	}
-	if live := e.PendingEvents(); live != 10 {
-		t.Fatalf("PendingEvents = %d, want 10", live)
+	if live := pending(e); live != 10 {
+		t.Fatalf("%d events pending, want 10", live)
 	}
 	// Compaction triggers when corpses outnumber live events, so occupancy
 	// must be bounded by ~2x the live count, not by the cancel count.
-	if occ := e.heapSlots(); occ > 2*10+1 {
+	if occ := len(e.heap); occ > 2*10+1 {
 		t.Fatalf("heap occupancy = %d after canceling %d events, want <= %d", occ, n-10, 2*10+1)
 	}
 	// The survivors still run.
-	ran := 0
 	for i := 0; i < 10; i++ {
 		if _, err := e.Schedule(float64(i), 0, func() { ran++ }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	e.Run(2e6)
-	if ran != 10 || e.EventsRun() != 20 {
-		t.Fatalf("ran=%d eventsRun=%d, want 10/20", ran, e.EventsRun())
+	if ran != 20 {
+		t.Fatalf("ran %d events, want 20", ran)
 	}
 }
 
@@ -109,7 +109,7 @@ func TestSlotReuseAfterPop(t *testing.T) {
 	e := NewEngine()
 	for round := 0; round < 100; round++ {
 		for i := 0; i < 10; i++ {
-			if _, err := e.After(float64(i+1), 0, func() {}); err != nil {
+			if _, err := e.Schedule(e.Now()+float64(i+1), 0, func() {}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -211,7 +211,7 @@ func (r *pooledRun) fire(id int) {
 		r.nextID++
 		if lane >= 0 {
 			r.lanes[lane].Push(ev)
-		} else if _, err := r.e.AfterHandler(delay, prio, ev); err != nil {
+		} else if _, err := r.e.ScheduleHandler(r.e.Now()+delay, prio, ev); err != nil {
 			panic(err)
 		}
 	})
@@ -326,7 +326,7 @@ func TestPooledHeapNestedScheduling(t *testing.T) {
 	chain = func(id, depth int) {
 		order = append(order, id)
 		if depth < 4 {
-			if _, err := e.After(0.5, id%2, func() { chain(id*10, depth+1) }); err != nil {
+			if _, err := e.Schedule(e.Now()+0.5, id%2, func() { chain(id*10, depth+1) }); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -349,7 +349,7 @@ func TestPooledHeapNestedScheduling(t *testing.T) {
 	chain2 = func(id, depth int) {
 		order2 = append(order2, id)
 		if depth < 4 {
-			if _, err := e2.After(0.5, id%2, func() { chain2(id*10, depth+1) }); err != nil {
+			if _, err := e2.Schedule(e2.Now()+0.5, id%2, func() { chain2(id*10, depth+1) }); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -84,8 +84,6 @@ type Engine struct {
 	lanes      []*Lane
 	laneEvents int    // events queued on all lanes
 	seq        uint64 // shared by heap and lane events
-	nRun       uint64
-	halted     bool
 }
 
 // NewEngine returns an engine at time 0.
@@ -93,18 +91,6 @@ func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
-
-// EventsRun returns the number of events executed.
-func (e *Engine) EventsRun() uint64 { return e.nRun }
-
-// PendingEvents returns the number of live (scheduled, not canceled) events,
-// lane events included.
-func (e *Engine) PendingEvents() int { return len(e.heap) - e.nCanceled + e.laneEvents }
-
-// heapSlots returns the heap's current occupancy including canceled
-// corpses awaiting compaction or their fire time (tests pin the compaction
-// behavior through it).
-func (e *Engine) heapSlots() int { return len(e.heap) }
 
 // less orders heap entries by (time, priority, seq) — identical to the
 // pre-pool container/heap contract. seq is unique per event, so the order
@@ -273,16 +259,6 @@ func (e *Engine) ScheduleHandler(t float64, priority int, action Handler) (Event
 	return Event{e: e, idx: idx, gen: s.gen}, nil
 }
 
-// After queues action delay seconds from now.
-func (e *Engine) After(delay float64, priority int, action func()) (Event, error) {
-	return e.Schedule(e.now+delay, priority, action)
-}
-
-// AfterHandler is After with the action given as a Handler.
-func (e *Engine) AfterHandler(delay float64, priority int, action Handler) (Event, error) {
-	return e.ScheduleHandler(e.now+delay, priority, action)
-}
-
 // Every schedules action at now+interval, then every interval seconds until
 // `until` (exclusive). Used for the τ-periodic probe/price updates.
 //
@@ -423,17 +399,12 @@ func (e *Engine) nextLane() *Lane {
 	return best
 }
 
-// Halt stops the run loop after the current event.
-func (e *Engine) Halt() { e.halted = true }
-
-// Run executes events in time order until the queues empty, the horizon is
-// passed, or Halt is called. It returns the final virtual time. Events
-// beyond the horizon stay queued, so a later Run with a larger horizon
-// resumes exactly where this one stopped and executes every scheduled event
-// in order.
+// Run executes events in time order until the queues empty or the horizon is
+// passed. It returns the final virtual time. Events beyond the horizon stay
+// queued, so a later Run with a larger horizon resumes exactly where this
+// one stopped and executes every scheduled event in order.
 func (e *Engine) Run(horizon float64) float64 {
-	e.halted = false
-	for !e.halted {
+	for {
 		// A lane head that precedes the heap top fires first: each queue is
 		// sorted, so its first event is its minimum.
 		if e.laneEvents > 0 {
@@ -444,7 +415,6 @@ func (e *Engine) Run(horizon float64) float64 {
 				}
 				action := lane.pop()
 				e.now = t
-				e.nRun++
 				action.Fire()
 				continue
 			}
@@ -471,7 +441,6 @@ func (e *Engine) Run(horizon float64) float64 {
 		// reuse this slot; the generation bump keeps stale handles inert.
 		e.release(top)
 		e.now = t
-		e.nRun++
 		action.Fire()
 	}
 	if e.now < horizon && len(e.heap) == 0 && e.laneEvents == 0 {

@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -59,7 +60,7 @@ func newTimerChain(e *Engine) *timerChain {
 	c.tick = func() {
 		c.fired++
 		if c.fired < c.n && c.err == nil {
-			_, c.err = e.After(1, 0, c.tick)
+			_, c.err = e.Schedule(e.Now()+1, 0, c.tick)
 		}
 	}
 	return c
@@ -114,7 +115,7 @@ func newHopUnits(e *Engine, width int) (*hopUnits, error) {
 	h.tick = func() {
 		h.ticks++
 		if h.ticks < h.tickN && h.err == nil {
-			_, h.err = h.e.After(1, 0, h.tick)
+			_, h.err = h.e.Schedule(h.e.Now()+1, 0, h.tick)
 		}
 	}
 	return h, nil
@@ -154,7 +155,7 @@ func metricsHop(m *Metrics) func(i int) {
 
 // BenchmarkEngineScheduleRun measures the schedule→pop→run cycle: b.N events
 // through an engine in batches, the dominant pattern of a payment run (every
-// hop is one After + one pop).
+// hop is one Schedule + one pop).
 func BenchmarkEngineScheduleRun(b *testing.B) {
 	e := NewEngine()
 	action := func() {}
@@ -221,8 +222,9 @@ func BenchmarkMetricsHot(b *testing.B) {
 // TestSimCoreAllocs is the allocation gate of the sim-core hot paths: one
 // schedule→run batch, one cancel-churn batch, one 1024-event timer chain,
 // one 1024-event hop-lane run and one metrics hop must each allocate
-// nothing once the engine's slot arena, the lane's ring and the histogram's
-// reservoir are warm.
+// nothing once the engine's slot arena and the lane's ring are warm. A
+// histogram keeps no samples, so the metrics hop allocates nothing from its
+// first observation on.
 func TestSimCoreAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate skipped under -short: race runs use -short, and the race detector changes allocation counts")
@@ -235,10 +237,10 @@ func TestSimCoreAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	hop := metricsHop(NewMetrics())
-	for i := 0; i < sampleCap; i++ {
-		hop(i) // fill the reservoir: the steady state appends nothing
+	if n := mallocs(func() { hop(0) }); n != 0 {
+		t.Errorf("metrics_hot: the first observation allocates %d times, want 0", n)
 	}
-	i := 0
+	i := 1
 	cases := []struct {
 		name string
 		body func() error
@@ -266,6 +268,17 @@ func TestSimCoreAllocs(t *testing.T) {
 	}
 }
 
+// mallocs counts the heap allocations of one call of f, with no warm-up
+// call before it (testing.AllocsPerRun makes one).
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
 // BenchmarkMetricsStringAPI is the same mix through the name-based API
 // (one map hash per call) — the cost the handle interning removes.
 func BenchmarkMetricsStringAPI(b *testing.B) {
@@ -275,6 +288,6 @@ func BenchmarkMetricsStringAPI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Add("tu_completed", 1)
 		m.Add("fees", 0.01)
-		m.Observe("queue_delay", float64(i%100)*0.001)
+		m.ObserveHandle(m.SampleHandle("queue_delay"), float64(i%100)*0.001)
 	}
 }

@@ -65,7 +65,7 @@ func TestAfterRelative(t *testing.T) {
 	e := NewEngine()
 	var at float64 = -1
 	if _, err := e.Schedule(2, 0, func() {
-		if _, err := e.After(3, 0, func() { at = e.Now() }); err != nil {
+		if _, err := e.Schedule(e.Now()+3, 0, func() { at = e.Now() }); err != nil {
 			t.Error(err)
 		}
 	}); err != nil {
@@ -73,7 +73,7 @@ func TestAfterRelative(t *testing.T) {
 	}
 	e.Run(10)
 	if at != 5 {
-		t.Fatalf("After fired at %v, want 5", at)
+		t.Fatalf("event scheduled at Now()+3 fired at %v, want 5", at)
 	}
 }
 
@@ -116,26 +116,6 @@ func TestEveryValidation(t *testing.T) {
 	}
 }
 
-func TestHalt(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 5; i++ {
-		at := float64(i)
-		if _, err := e.Schedule(at, 0, func() {
-			count++
-			if count == 2 {
-				e.Halt()
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.Run(10)
-	if count != 2 {
-		t.Fatalf("count = %d, want 2 (halted)", count)
-	}
-}
-
 func TestHorizonStopsEvents(t *testing.T) {
 	e := NewEngine()
 	fired := false
@@ -148,19 +128,6 @@ func TestHorizonStopsEvents(t *testing.T) {
 	}
 	if e.Now() != 10 {
 		t.Fatalf("now = %v", e.Now())
-	}
-}
-
-func TestEventsRun(t *testing.T) {
-	e := NewEngine()
-	for i := 0; i < 7; i++ {
-		if _, err := e.Schedule(float64(i), 0, func() {}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.Run(100)
-	if e.EventsRun() != 7 {
-		t.Fatalf("events run = %d", e.EventsRun())
 	}
 }
 
@@ -178,23 +145,18 @@ func TestMetricsCounters(t *testing.T) {
 
 func TestMetricsHistograms(t *testing.T) {
 	m := NewMetrics()
-	for _, v := range []float64{5, 1, 3, 2, 4} {
-		m.Observe("delay", v)
+	h := m.SampleHandle("delay")
+	if !math.IsNaN(m.Mean("delay")) {
+		t.Fatal("a histogram with no observation should have a NaN mean")
 	}
-	if m.Count("delay") != 5 {
-		t.Fatalf("count = %d", m.Count("delay"))
+	for _, v := range []float64{5, 1, 3, 2, 4} {
+		m.ObserveHandle(h, v)
 	}
 	if m.Mean("delay") != 3 {
 		t.Fatalf("mean = %v", m.Mean("delay"))
 	}
-	if m.Quantile("delay", 0) != 1 || m.Quantile("delay", 1) != 5 {
-		t.Fatal("quantile extremes wrong")
-	}
-	if med := m.Quantile("delay", 0.5); med != 3 {
-		t.Fatalf("median = %v", med)
-	}
-	if !math.IsNaN(m.Mean("empty")) || !math.IsNaN(m.Quantile("empty", 0.5)) {
-		t.Fatal("empty histogram should be NaN")
+	if !math.IsNaN(m.Mean("empty")) {
+		t.Fatal("an unknown histogram should have a NaN mean")
 	}
 }
 
@@ -216,7 +178,7 @@ func TestNestedScheduling(t *testing.T) {
 	recurse = func(depth int) {
 		log = append(log, e.Now())
 		if depth < 3 {
-			if _, err := e.After(1, 0, func() { recurse(depth + 1) }); err != nil {
+			if _, err := e.Schedule(e.Now()+1, 0, func() { recurse(depth + 1) }); err != nil {
 				t.Error(err)
 			}
 		}
@@ -258,9 +220,6 @@ func TestRunResumableAcrossHorizons(t *testing.T) {
 	}
 	if len(order) != 3 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("after second run order = %v, want [1 2 3]", order)
-	}
-	if e.EventsRun() != 3 {
-		t.Fatalf("events run = %d, want 3", e.EventsRun())
 	}
 }
 
@@ -363,7 +322,7 @@ func TestHandlerEvents(t *testing.T) {
 	if _, err := e.Schedule(1, 0, func() { order = append(order, "func-prio0") }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AfterHandler(1, 0, h("handler-prio0")); err != nil {
+	if _, err := e.ScheduleHandler(e.Now()+1, 0, h("handler-prio0")); err != nil {
 		t.Fatal(err)
 	}
 	ev, err := e.ScheduleHandler(0.5, 0, h("canceled"))
@@ -395,7 +354,7 @@ func TestHandlerEvents(t *testing.T) {
 }
 
 // TestLaneEventsSurviveHorizon: a lane event past the horizon stays queued,
-// counts in PendingEvents and fires on the next Run, merged in order with
+// counts as pending and fires on the next Run, merged in order with
 // the heap.
 func TestLaneEventsSurviveHorizon(t *testing.T) {
 	e := NewEngine()
@@ -418,8 +377,8 @@ func TestLaneEventsSurviveHorizon(t *testing.T) {
 	if now := e.Run(1.5); now != 1.5 {
 		t.Fatalf("first run ended at %v, want 1.5", now)
 	}
-	if len(order) != 1 || e.PendingEvents() != 3 {
-		t.Fatalf("after Run(1.5): order %v, %d pending; want [heap@1] and 3 pending", order, e.PendingEvents())
+	if len(order) != 1 || pending(e) != 3 {
+		t.Fatalf("after Run(1.5): order %v, %d pending; want [heap@1] and 3 pending", order, pending(e))
 	}
 	if now := e.Run(10); now != 10 {
 		t.Fatalf("second run ended at %v, want 10", now)
@@ -428,49 +387,8 @@ func TestLaneEventsSurviveHorizon(t *testing.T) {
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
-	if e.PendingEvents() != 0 || e.EventsRun() != 4 {
-		t.Fatalf("%d pending, %d run; want 0 and 4", e.PendingEvents(), e.EventsRun())
-	}
-}
-
-// TestHaltFromLaneEvent: Halt called by a lane event stops the run after it;
-// the rest stays queued and a later Run fires it.
-func TestHaltFromLaneEvent(t *testing.T) {
-	e := NewEngine()
-	lane, err := e.NewLane(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	for i := 0; i < 3; i++ {
-		lane.Push(haltAt{&count, 2, e})
-	}
-	if _, err := e.Schedule(5, 0, func() { count++ }); err != nil {
-		t.Fatal(err)
-	}
-	if now := e.Run(10); now != 1 || count != 2 {
-		t.Fatalf("halted run ended at %v after %d events, want 1 and 2", now, count)
-	}
-	if e.PendingEvents() != 2 {
-		t.Fatalf("%d pending after Halt, want 2", e.PendingEvents())
-	}
-	e.Run(10)
-	if count != 4 || e.Now() != 10 {
-		t.Fatalf("resumed run: %d events by %v, want 4 by 10", count, e.Now())
-	}
-}
-
-// haltAt counts its firings and halts the engine on the n-th.
-type haltAt struct {
-	count *int
-	n     int
-	e     *Engine
-}
-
-func (h haltAt) Fire() {
-	*h.count++
-	if *h.count == h.n {
-		h.e.Halt()
+	if pending(e) != 0 {
+		t.Fatalf("%d pending, want 0", pending(e))
 	}
 }
 
@@ -499,3 +417,7 @@ func TestNewLaneValidation(t *testing.T) {
 	}()
 	lane.Push(nil)
 }
+
+// pending is the number of live (scheduled, not canceled) events, lane
+// events included.
+func pending(e *Engine) int { return len(e.heap) - e.nCanceled + e.laneEvents }

@@ -39,13 +39,6 @@ type CellResult struct {
 	Err    error
 }
 
-// RunCell executes a single cell synchronously, as a process's only cell: it
-// may plan on every core (pcn.Config.Parallelism 0). A panic in the cell's
-// Run hook (or anywhere downstream in its simulation) is recovered into
-// CellResult.Err — value and stack preserved — so one poisoned cell fails
-// in place instead of killing a whole sweep's process.
-func RunCell(c Cell) CellResult { return runCell(c, 0) }
-
 func runCell(c Cell, planners int) (out CellResult) {
 	out = CellResult{Cell: c}
 	defer func() {

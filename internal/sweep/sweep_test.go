@@ -189,8 +189,8 @@ func TestErrorPropagation(t *testing.T) {
 	if s := Summarize(results); s.Seeds != 1 || s.Failed != 1 {
 		t.Fatalf("Seeds=%d Failed=%d, want 1/1", s.Seeds, s.Failed)
 	}
-	if RunCell(Cell{}).Err == nil {
-		t.Fatal("RunCell accepted a cell without a Run hook")
+	if runCell(Cell{}, 0).Err == nil {
+		t.Fatal("a lone cell without a Run hook was accepted")
 	}
 }
 
@@ -235,11 +235,11 @@ func TestPoisonedCellDoesNotKillSweep(t *testing.T) {
 	}
 }
 
-// TestBuildPanicRecovered covers a lone cell (RunCell, not the pool) whose
+// TestBuildPanicRecovered covers a lone cell (runCell, not the pool) whose
 // hook panics while it builds its inputs: the panic value comes back as the
 // cell's error.
 func TestBuildPanicRecovered(t *testing.T) {
-	r := RunCell(Cell{Run: func(int) (pcn.Result, error) { panic(fmt.Errorf("bad build")) }})
+	r := runCell(Cell{Run: func(int) (pcn.Result, error) { panic(fmt.Errorf("bad build")) }}, 0)
 	if r.Err == nil || !strings.Contains(r.Err.Error(), "bad build") {
 		t.Fatalf("build panic not recovered into Err: %v", r.Err)
 	}
@@ -269,9 +269,11 @@ func (p spyPolicy) PrefetchesLabelFree() bool {
 // reachable only through a network built with it.
 func newPolicy(t *testing.T, scheme pcn.Scheme) pcn.SchemePolicy {
 	t.Helper()
-	g, err := topology.Star(4, topology.UniformCapacity(1))
-	if err != nil {
-		t.Fatal(err)
+	g := graph.New(3)
+	for _, e := range [][2]graph.NodeID{{0, 1}, {1, 2}} {
+		if _, err := g.AddEdge(e[0], e[1], 1, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
 	n, err := pcn.NewNetwork(g, pcn.NewConfig(scheme))
 	if err != nil {
@@ -338,7 +340,7 @@ func TestRunBudgetsPlanningWorkers(t *testing.T) {
 	// No width moves a byte.
 	serial := Run([]Cell{testCell(pcn.SchemeSplicer, 3, 1), testCell(pcn.SchemeSplicer, 4, 1)}, 2)
 	pooled := Run([]Cell{testCell(pcn.SchemeSplicer, 3, 1), testCell(pcn.SchemeSplicer, 4, 1)}, 1)
-	lone := RunCell(testCell(pcn.SchemeSplicer, 3, 1))
+	lone := runCell(testCell(pcn.SchemeSplicer, 3, 1), 0)
 	if err := FirstErr(append(append(serial, pooled...), lone)); err != nil {
 		t.Fatal(err)
 	}

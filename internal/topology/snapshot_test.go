@@ -11,7 +11,7 @@ import (
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	src := rng.New(11)
-	g, err := WattsStrogatz(src, 40, 4, 0.25, UniformCapacity(100))
+	g, err := WattsStrogatz(src, 40, 4, 0.25, uniformCapacity(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestReadSnapshotRejectsMalformed(t *testing.T) {
 
 func TestErdosRenyi(t *testing.T) {
 	src := rng.New(7)
-	g, err := ErdosRenyi(src, 60, 0.08, UniformCapacity(50))
+	g, err := ErdosRenyi(src, 60, 0.08, uniformCapacity(50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,24 +101,24 @@ func TestErdosRenyi(t *testing.T) {
 		t.Fatalf("edge count %d wildly off expectation ~142", e)
 	}
 	// Determinism.
-	g2, err := ErdosRenyi(rng.New(7), 60, 0.08, UniformCapacity(50))
+	g2, err := ErdosRenyi(rng.New(7), 60, 0.08, uniformCapacity(50))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g2.NumEdges() != g.NumEdges() {
 		t.Fatalf("same seed gave %d vs %d edges", g2.NumEdges(), g.NumEdges())
 	}
-	if _, err := ErdosRenyi(src, 1, 0.5, UniformCapacity(1)); err == nil {
+	if _, err := ErdosRenyi(src, 1, 0.5, uniformCapacity(1)); err == nil {
 		t.Fatal("accepted n=1")
 	}
-	if _, err := ErdosRenyi(src, 10, 1.5, UniformCapacity(1)); err == nil {
+	if _, err := ErdosRenyi(src, 10, 1.5, uniformCapacity(1)); err == nil {
 		t.Fatal("accepted p>1")
 	}
 }
 
 func TestHierarchicalHubSpoke(t *testing.T) {
 	src := rng.New(5)
-	g, hubTier, err := HierarchicalHubSpoke(src, 3, 2, 5, UniformCapacity(1000), UniformCapacity(400), UniformCapacity(100))
+	g, hubTier, err := HierarchicalHubSpoke(src, 3, 2, 5, uniformCapacity(1000), uniformCapacity(400), uniformCapacity(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestHierarchicalHubSpoke(t *testing.T) {
 			t.Fatalf("leaf %d attached to node %d, want a mid-tier hub in [3,9)", i, hub)
 		}
 	}
-	if _, _, err := HierarchicalHubSpoke(src, 0, 1, 1, UniformCapacity(1), UniformCapacity(1), UniformCapacity(1)); err == nil {
+	if _, _, err := HierarchicalHubSpoke(src, 0, 1, 1, uniformCapacity(1), uniformCapacity(1), uniformCapacity(1)); err == nil {
 		t.Fatal("accepted zero cores")
 	}
 }

@@ -17,11 +17,6 @@ import (
 // It is invoked once per channel.
 type CapacityFunc func() (fwd, rev float64)
 
-// UniformCapacity deposits the same fixed funds on both sides.
-func UniformCapacity(c float64) CapacityFunc {
-	return func() (float64, float64) { return c, c }
-}
-
 // WattsStrogatz generates a connected small-world graph over n nodes. Each
 // node starts connected to its k nearest ring neighbors (k must be even and
 // >= 2), then each edge is rewired with probability beta. Rewiring that
@@ -231,72 +226,6 @@ func HierarchicalHubSpoke(src *rng.Source, cores, hubsPerCore, clientsPerHub int
 	return g, hubTier, nil
 }
 
-// Star builds the single-PCH topology of Fig. 2(a): node 0 is the hub, nodes
-// 1..n-1 are clients each with one channel to the hub.
-func Star(n int, capFn CapacityFunc) (*graph.Graph, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("topology: star needs >= 2 nodes, got %d", n)
-	}
-	g := graph.New(n)
-	for i := 1; i < n; i++ {
-		fwd, rev := capFn()
-		if _, err := g.AddEdge(0, graph.NodeID(i), fwd, rev); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}
-
-// MultiStar builds the multi-star topology of Fig. 2(b) and Definition 1:
-// the first numHubs nodes are hubs forming a connected hub backbone (a ring
-// plus random chords), and every remaining node is a client attached to one
-// hub, assigned round-robin. hubCapFn sizes hub-to-hub channels (typically
-// much larger), capFn sizes client channels.
-func MultiStar(src *rng.Source, numHubs, numClients int, hubCapFn, capFn CapacityFunc) (*graph.Graph, []graph.NodeID, error) {
-	if numHubs < 1 {
-		return nil, nil, fmt.Errorf("topology: need >= 1 hub, got %d", numHubs)
-	}
-	if numClients < 1 {
-		return nil, nil, fmt.Errorf("topology: need >= 1 client, got %d", numClients)
-	}
-	g := graph.New(numHubs + numClients)
-	hubs := make([]graph.NodeID, numHubs)
-	for i := range hubs {
-		hubs[i] = graph.NodeID(i)
-	}
-	// Hub backbone: ring, plus ~numHubs/2 random chords for path diversity.
-	if numHubs > 1 {
-		for i := 0; i < numHubs; i++ {
-			j := (i + 1) % numHubs
-			if i == j || (numHubs == 2 && i > j) {
-				continue
-			}
-			fwd, rev := hubCapFn()
-			if _, err := g.AddEdge(hubs[i], hubs[j], fwd, rev); err != nil {
-				return nil, nil, err
-			}
-		}
-		for c := 0; c < numHubs/2; c++ {
-			u, v := src.IntN(numHubs), src.IntN(numHubs)
-			if u == v || g.HasEdgeBetween(hubs[u], hubs[v]) {
-				continue
-			}
-			fwd, rev := hubCapFn()
-			if _, err := g.AddEdge(hubs[u], hubs[v], fwd, rev); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	for i := 0; i < numClients; i++ {
-		hub := hubs[i%numHubs]
-		fwd, rev := capFn()
-		if _, err := g.AddEdge(graph.NodeID(numHubs+i), hub, fwd, rev); err != nil {
-			return nil, nil, err
-		}
-	}
-	return g, hubs, nil
-}
-
 // ensureConnected adds channels between components until the graph is
 // connected. Used as a safety net after random generation.
 func ensureConnected(src *rng.Source, g *graph.Graph, capFn CapacityFunc) {
@@ -366,15 +295,4 @@ func TopDegreeNodesOf(g *graph.Graph, ids []graph.NodeID, k int) []graph.NodeID 
 		ids[i], ids[best] = ids[best], ids[i]
 	}
 	return ids[:k]
-}
-
-// TotalFunds returns the sum of both directions' capacities over all
-// channels incident to u.
-func TotalFunds(g *graph.Graph, u graph.NodeID) float64 {
-	total := 0.0
-	for _, eid := range g.Incident(u) {
-		e := g.Edge(eid)
-		total += e.CapFwd + e.CapRev
-	}
-	return total
 }

@@ -11,7 +11,7 @@ import (
 
 func TestWattsStrogatzBasics(t *testing.T) {
 	src := rng.New(1)
-	g, err := WattsStrogatz(src, 100, 4, 0.25, UniformCapacity(100))
+	g, err := WattsStrogatz(src, 100, 4, 0.25, uniformCapacity(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,11 +29,11 @@ func TestWattsStrogatzBasics(t *testing.T) {
 }
 
 func TestWattsStrogatzDeterministic(t *testing.T) {
-	g1, err := WattsStrogatz(rng.New(7), 50, 4, 0.3, UniformCapacity(10))
+	g1, err := WattsStrogatz(rng.New(7), 50, 4, 0.3, uniformCapacity(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := WattsStrogatz(rng.New(7), 50, 4, 0.3, UniformCapacity(10))
+	g2, err := WattsStrogatz(rng.New(7), 50, 4, 0.3, uniformCapacity(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestWattsStrogatzDeterministic(t *testing.T) {
 }
 
 func TestWattsStrogatzZeroBetaIsRing(t *testing.T) {
-	g, err := WattsStrogatz(rng.New(1), 10, 2, 0, UniformCapacity(1))
+	g, err := WattsStrogatz(rng.New(1), 10, 2, 0, uniformCapacity(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestWattsStrogatzValidation(t *testing.T) {
 		{10, 2, 1.5},
 	}
 	for _, c := range cases {
-		if _, err := WattsStrogatz(src, c.n, c.k, c.beta, UniformCapacity(1)); err == nil {
+		if _, err := WattsStrogatz(src, c.n, c.k, c.beta, uniformCapacity(1)); err == nil {
 			t.Fatalf("expected error for n=%d k=%d beta=%v", c.n, c.k, c.beta)
 		}
 	}
@@ -85,7 +85,7 @@ func TestWattsStrogatzValidation(t *testing.T) {
 
 func TestBarabasiAlbertDegreeSkew(t *testing.T) {
 	src := rng.New(3)
-	g, err := BarabasiAlbert(src, 300, 2, UniformCapacity(10))
+	g, err := BarabasiAlbert(src, 300, 2, uniformCapacity(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,86 +136,20 @@ func TestBarabasiAlbertRepeatable(t *testing.T) {
 
 func TestBarabasiAlbertValidation(t *testing.T) {
 	src := rng.New(1)
-	if _, err := BarabasiAlbert(src, 5, 0, UniformCapacity(1)); err == nil {
+	if _, err := BarabasiAlbert(src, 5, 0, uniformCapacity(1)); err == nil {
 		t.Fatal("expected error for m=0")
 	}
-	if _, err := BarabasiAlbert(src, 2, 2, UniformCapacity(1)); err == nil {
+	if _, err := BarabasiAlbert(src, 2, 2, uniformCapacity(1)); err == nil {
 		t.Fatal("expected error for n<=m")
 	}
 }
 
-func TestStar(t *testing.T) {
-	g, err := Star(6, UniformCapacity(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 5 {
-		t.Fatalf("edges = %d, want 5", g.NumEdges())
-	}
-	if g.Degree(0) != 5 {
-		t.Fatalf("hub degree = %d, want 5", g.Degree(0))
-	}
-	for i := 1; i < 6; i++ {
-		if g.Degree(graph.NodeID(i)) != 1 {
-			t.Fatalf("client %d degree = %d, want 1", i, g.Degree(graph.NodeID(i)))
-		}
-	}
-	if _, err := Star(1, UniformCapacity(1)); err == nil {
-		t.Fatal("expected error for n=1")
-	}
-}
-
-func TestMultiStar(t *testing.T) {
-	src := rng.New(9)
-	g, hubs, err := MultiStar(src, 4, 20, UniformCapacity(1000), UniformCapacity(50))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hubs) != 4 {
-		t.Fatalf("hubs = %v", hubs)
-	}
-	if g.NumNodes() != 24 {
-		t.Fatalf("nodes = %d", g.NumNodes())
-	}
-	if !g.Connected() {
-		t.Fatal("multi-star not connected")
-	}
-	// Every client has exactly one channel, to a hub.
-	for i := 4; i < 24; i++ {
-		if g.Degree(graph.NodeID(i)) != 1 {
-			t.Fatalf("client %d degree = %d", i, g.Degree(graph.NodeID(i)))
-		}
-		e := g.Edge(g.Incident(graph.NodeID(i))[0])
-		other := e.Other(graph.NodeID(i))
-		if int(other) >= 4 {
-			t.Fatalf("client %d attached to non-hub %d", i, other)
-		}
-	}
-}
-
-func TestMultiStarSingleHub(t *testing.T) {
-	g, hubs, err := MultiStar(rng.New(1), 1, 5, UniformCapacity(100), UniformCapacity(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hubs) != 1 || g.NumEdges() != 5 {
-		t.Fatalf("hubs=%v edges=%d", hubs, g.NumEdges())
-	}
-}
-
-func TestMultiStarValidation(t *testing.T) {
-	if _, _, err := MultiStar(rng.New(1), 0, 5, UniformCapacity(1), UniformCapacity(1)); err == nil {
-		t.Fatal("expected error for 0 hubs")
-	}
-	if _, _, err := MultiStar(rng.New(1), 2, 0, UniformCapacity(1), UniformCapacity(1)); err == nil {
-		t.Fatal("expected error for 0 clients")
-	}
-}
-
 func TestTopDegreeNodes(t *testing.T) {
-	g, err := Star(8, UniformCapacity(1))
-	if err != nil {
-		t.Fatal(err)
+	g := graph.New(8) // a star: node 0 is the hub
+	for i := 1; i < 8; i++ {
+		if _, err := g.AddEdge(0, graph.NodeID(i), 1, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
 	top := TopDegreeNodes(g, 3)
 	if len(top) != 3 || top[0] != 0 {
@@ -227,31 +161,15 @@ func TestTopDegreeNodes(t *testing.T) {
 	}
 }
 
-func TestTotalFunds(t *testing.T) {
-	g := graph.New(3)
-	if _, err := g.AddEdge(0, 1, 10, 20); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.AddEdge(0, 2, 5, 5); err != nil {
-		t.Fatal(err)
-	}
-	if got := TotalFunds(g, 0); got != 40 {
-		t.Fatalf("TotalFunds = %v, want 40", got)
-	}
-	if got := TotalFunds(g, 1); got != 30 {
-		t.Fatalf("TotalFunds(1) = %v, want 30", got)
-	}
-}
-
 func TestPropertyGeneratorsAlwaysConnected(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw)%80 + 20
 		src := rng.New(seed)
-		ws, err := WattsStrogatz(src, n, 4, 0.5, UniformCapacity(10))
+		ws, err := WattsStrogatz(src, n, 4, 0.5, uniformCapacity(10))
 		if err != nil || !ws.Connected() {
 			return false
 		}
-		ba, err := BarabasiAlbert(src, n, 2, UniformCapacity(10))
+		ba, err := BarabasiAlbert(src, n, 2, uniformCapacity(10))
 		if err != nil || !ba.Connected() {
 			return false
 		}
@@ -260,4 +178,10 @@ func TestPropertyGeneratorsAlwaysConnected(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// uniformCapacity deposits the same fixed funds on both sides of every
+// channel.
+func uniformCapacity(c float64) CapacityFunc {
+	return func() (float64, float64) { return c, c }
 }

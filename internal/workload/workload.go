@@ -9,7 +9,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/splicer-pcn/splicer/internal/graph"
 	"github.com/splicer-pcn/splicer/internal/rng"
@@ -431,32 +430,5 @@ func (c circulation) next(src *rng.Source) (s, r graph.NodeID, val float64) {
 		return c.c, c.b, 1
 	default:
 		return c.b, c.a, 1
-	}
-}
-
-// Stats summarizes a slice of samples; used in tests and the experiment
-// harness to report workload characteristics.
-type Stats struct {
-	Min, Max, Mean, Median float64
-	N                      int
-}
-
-// Summarize computes summary statistics over values.
-func Summarize(values []float64) Stats {
-	if len(values) == 0 {
-		return Stats{}
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	sum := 0.0
-	for _, v := range sorted {
-		sum += v
-	}
-	return Stats{
-		Min:    sorted[0],
-		Max:    sorted[len(sorted)-1],
-		Mean:   sum / float64(len(sorted)),
-		Median: sorted[len(sorted)/2],
-		N:      len(sorted),
 	}
 }
